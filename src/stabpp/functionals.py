@@ -180,12 +180,18 @@ def _with_insertion(points: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]
     return np.vstack([points, x]), len(points)
 
 
-def _incident_half_weights(points: np.ndarray, k: int, alpha: float) -> np.ndarray:
-    """Half the alpha-weighted incident edge length of the kNN graph, per point."""
+def _knn_graph(points: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) kNN neighbour matrix; too few points is InsufficientPointsError."""
     n = len(points)
     if n - 1 < k:
         raise InsufficientPointsError(f"need at least k+1={k + 1} points, got {n}")
-    nbr = neighbors.knn_indices(points, k)
+    return neighbors.knn_indices(points, k)
+
+
+def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
+                           alpha: float) -> np.ndarray:
+    """Half the alpha-weighted incident edge length of the kNN graph, per point."""
+    n, k = nbr.shape
     src = np.repeat(np.arange(n), k)
     dst = nbr.ravel()
     u = np.minimum(src, dst)
@@ -199,10 +205,9 @@ def _incident_half_weights(points: np.ndarray, k: int, alpha: float) -> np.ndarr
     return xi
 
 
-def _incident_max_lengths(points: np.ndarray, k: int) -> np.ndarray:
+def _incident_max_lengths(points: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     """Longest kNN-graph edge incident to each point (reverse edges included)."""
-    n = len(points)
-    nbr = neighbors.knn_indices(points, k)
+    n, k = nbr.shape
     src = np.repeat(np.arange(n), k)
     dst = nbr.ravel()
     length = np.sqrt(np.sum((points[src] - points[dst]) ** 2, axis=1))
@@ -216,7 +221,7 @@ def xi_knn(x, config: PointConfiguration, spec: FunctionalSpec) -> float:
     """Score of x under the undirected kNN family (x inserted if absent)."""
     x = np.asarray(x, dtype=float).reshape(-1)
     pts, idx = _with_insertion(config.points, x)
-    return float(_incident_half_weights(pts, spec.k, spec.alpha)[idx])
+    return float(_incident_half_weights(pts, _knn_graph(pts, spec.k), spec.alpha)[idx])
 
 
 def xi_directed_nn(x, config: PointConfiguration, alpha: float) -> float:
@@ -243,25 +248,39 @@ def l_alpha(config: PointConfiguration, gamma: Region, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # scaled region statistics
 
-def _scaled_scores(config: PointConfiguration, spec: FunctionalSpec,
-                   mask: np.ndarray) -> np.ndarray:
-    """Scores of the dilated configuration at the masked points."""
-    scale = spec.lam ** (1.0 / config.dimension)
-    dilated = config.points * scale
-    if spec.family == DIRECTED_NN:
-        d = neighbors.nn_distances(dilated, subset=mask)
-        return d[mask] ** spec.alpha
-    return _incident_half_weights(dilated, spec.k, spec.alpha)[mask]
+def _weighted_sums(config: PointConfiguration, fs: list, spec: FunctionalSpec,
+                   threshold: float | None = None) -> np.ndarray:
+    """Per test function f, the sum of dilated scores weighted by f.
 
-
-def _scaled_radii(config: PointConfiguration, spec: FunctionalSpec,
-                  mask: np.ndarray) -> np.ndarray:
-    """Empirical stabilization radii (dilated scale) at the masked points."""
-    scale = spec.lam ** (1.0 / config.dimension)
-    dilated = config.points * scale
+    The configuration is dilated by lambda^(1/d) and scored once for all
+    test functions; f is evaluated at the original locations, so only points
+    of f's region contribute.  With ``threshold``, only points whose
+    empirical radius is <= threshold contribute.
+    """
+    pts = config.points
+    masks = [f.region.contains(pts) for f in fs]
+    out = np.zeros(len(fs))
+    union = np.logical_or.reduce(masks)
+    if not union.any():
+        return out
+    if len(pts) < spec.min_points:
+        raise InsufficientPointsError(
+            f"{spec.family} needs at least {spec.min_points} points, got {len(pts)}")
+    dilated = pts * spec.lam ** (1.0 / config.dimension)
     if spec.family == DIRECTED_NN:
-        return neighbors.nn_distances(dilated, subset=mask)[mask]
-    return _incident_max_lengths(dilated, spec.k)[mask]
+        radii = neighbors.nn_distances(dilated, subset=union)
+        scores = radii ** spec.alpha
+    else:
+        nbr = neighbors.knn_indices(dilated, spec.k)
+        scores = _incident_half_weights(dilated, nbr, spec.alpha)
+        if threshold is not None:
+            radii = _incident_max_lengths(dilated, nbr)
+    for i, (f, mask) in enumerate(zip(fs, masks)):
+        if threshold is not None:
+            mask = mask & (radii <= threshold)
+        if mask.any():
+            out[i] = np.dot(scores[mask], f.evaluate(pts[mask]))
+    return out
 
 
 def t_statistic(config: PointConfiguration, f: TestFunctionSpec,
@@ -271,26 +290,21 @@ def t_statistic(config: PointConfiguration, f: TestFunctionSpec,
     The configuration is dilated by lambda^(1/d); f is evaluated at the
     original locations, so only points of f's region contribute.
     """
-    pts = config.points
-    mask = f.region.contains(pts)
-    if not mask.any():
-        return 0.0
-    if len(pts) < spec.min_points:
-        raise InsufficientPointsError(
-            f"{spec.family} needs at least {spec.min_points} points, got {len(pts)}")
-    scores = _scaled_scores(config, spec, mask)
-    return float(np.dot(scores, f.evaluate(pts[mask])))
+    return float(_weighted_sums(config, [f], spec)[0])
 
 
 def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> StatVector:
-    """Componentwise t_statistic over test functions with disjoint regions."""
+    """Componentwise t_statistic over test functions with disjoint regions.
+
+    The configuration is scored once and the scores are reused for every
+    region.
+    """
     fs = list(fs)
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             if not fs[i].region.disjoint_from(fs[j].region):
                 raise ValueError(f"test-function regions {i} and {j} overlap")
-    values = np.array([t_statistic(config, f, spec) for f in fs])
-    return StatVector(values=values, lam=spec.lam, spec=spec)
+    return StatVector(values=_weighted_sums(config, fs, spec), lam=spec.lam, spec=spec)
 
 
 def thresholded_t(config: PointConfiguration, f: TestFunctionSpec,
@@ -302,17 +316,7 @@ def thresholded_t(config: PointConfiguration, f: TestFunctionSpec,
     """
     if not threshold >= 0.0:
         raise ValueError("threshold must be nonnegative")
-    pts = config.points
-    mask = f.region.contains(pts)
-    if not mask.any():
-        return 0.0
-    if len(pts) < spec.min_points:
-        raise InsufficientPointsError(
-            f"{spec.family} needs at least {spec.min_points} points, got {len(pts)}")
-    scores = _scaled_scores(config, spec, mask)
-    radii = _scaled_radii(config, spec, mask)
-    keep = radii <= threshold
-    return float(np.dot(scores[keep], f.evaluate(pts[mask][keep])))
+    return float(_weighted_sums(config, [f], spec, threshold)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +350,7 @@ def _xi_at(x: np.ndarray, points: np.ndarray, spec: FunctionalSpec,
             raise InsufficientPointsError("probe point has no neighbour")
         return math.sqrt(float(d2.min())) ** spec.alpha
     pts, idx = _with_insertion(points * scale, xd)
-    return float(_incident_half_weights(pts, spec.k, spec.alpha)[idx])
+    return float(_incident_half_weights(pts, _knn_graph(pts, spec.k), spec.alpha)[idx])
 
 
 def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,

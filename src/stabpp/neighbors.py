@@ -1,23 +1,30 @@
-"""Nearest-neighbour search: sorted scan in 1-d, uniform-grid bucketing above.
+"""Nearest-neighbour search: one vectorized grid kernel for every dimension.
 
-The accelerated paths must return exactly the same neighbour sets as the
-O(n^2) reference (`brute_force_knn`), which is kept as the test oracle.
+The kernel must return exactly the same neighbour sets, in the same order, as
+the O(n^2) reference (`brute_force_knn`), which is kept as the test oracle.
 Distance ties are broken by the canonical point order (generation index), so
-both paths sort candidates by (distance, index).
+both compute distances with the same formula and sort by (distance, index).
 
-The grid uses cells of side ~ (bounding volume / n)^(1/d) and expands in
-Chebyshev rings around the query cell; a ring at cell-radius r can only hold
-points at Euclidean distance >= (r - 1) * cell, which yields the stopping
-rule once k candidates are at hand.
+The kernel buckets the points into a grid of about k+1 points per cell.  Each
+axis has its own cell width; an axis of zero extent, or thinner than a cell,
+gets a single cell, so collinear and thin inputs cannot shrink the cells.  All
+queries gather their candidates from the block of cells within r cells of
+their own at once.  A point outside the block is farther than r times the
+smallest width of an axis with several cells, so a row whose k-th distance is
+below that bound is final; the rows that fail are redone with r doubled.
+Queries go in chunks so that the candidate arrays stay bounded: all-duplicate
+input puts n^2 candidates into one cell.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-__all__ = ["brute_force_knn", "knn_indices", "nn_distances", "UniformGridIndex"]
+__all__ = ["brute_force_knn", "knn_indices", "nn_distances"]
+
+# candidates plus block cells gathered at once; larger chunks were no faster
+# and raised the peak resident set
+_CHUNK = 1 << 12
 
 
 def _pair_dists(points: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -39,106 +46,93 @@ def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _knn_indices_1d(points: np.ndarray, k: int) -> np.ndarray:
-    n = len(points)
-    x = points[:, 0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    out = np.empty((n, k), dtype=np.int64)
-    for pos in range(n):
-        lo = max(0, pos - k)
-        hi = min(n, pos + k + 1)
-        cand = np.r_[np.arange(lo, pos), np.arange(pos + 1, hi)]
-        d = np.abs(xs[cand] - xs[pos])
-        orig = order[cand]
-        sel = np.lexsort((orig, d))[:k]
-        out[order[pos]] = orig[sel]
-    return out
+def _grid_shape(ext: np.ndarray, cells: float) -> np.ndarray:
+    """Cells per axis: about ``cells`` in all, one on axes thinner than a cell."""
+    shape = np.ones(len(ext), dtype=np.int64)
+    live = ext > 0
+    while live.any():
+        # geometric mean in logs, so tiny or huge extents cannot under/overflow
+        width = np.exp((np.log(ext[live]).sum() - np.log(cells)) / live.sum())
+        thin = live & (ext < width)
+        if not thin.any():
+            shape[live] = np.maximum(np.floor(ext[live] / width), 1)
+            break
+        live &= ~thin
+    return shape
 
 
-class UniformGridIndex:
-    """Bucketed point index for kNN queries in dimension >= 2."""
+def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
+    """k nearest other points of each point in ``rows``: (indices, distances),
+    each row sorted by (distance, index)."""
+    n, d = pts.shape
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
+    lo = pts.min(axis=0)
+    ext = pts.max(axis=0) - lo
+    shape = _grid_shape(ext, n / (k + 1))
+    width = np.where(shape > 1, ext / shape, np.inf)
+    cell = np.minimum(np.floor((pts - lo) / width).astype(np.int64), shape - 1)
+    strides = np.cumprod(np.r_[shape[1:], 1][::-1])[::-1]
+    cell_id = cell @ strides
+    order = np.argsort(cell_id, kind="stable")
+    starts = np.r_[0, np.cumsum(np.bincount(cell_id, minlength=int(shape.prod())))]
+    # slack for rounding in the cell assignment
+    wmin = width.min() * (1.0 - 1e-9)
 
-    def __init__(self, points: np.ndarray, cell: float | None = None):
-        pts = np.asarray(points, dtype=float)
-        self.points = pts
-        n, d = pts.shape
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        if cell is None:
-            vol = float(np.prod(np.maximum(hi - lo, 1e-12)))
-            cell = max((vol / max(n, 1)) ** (1.0 / d), 1e-12)
-        self.cell = float(cell)
-        self.origin = lo
-        keys = np.floor((pts - lo) / self.cell).astype(np.int64)
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for i, key in enumerate(map(tuple, keys)):
-            buckets.setdefault(key, []).append(i)
-        self.buckets = {key: np.asarray(v, dtype=np.int64) for key, v in buckets.items()}
-        self.key_lo = keys.min(axis=0)
-        self.key_hi = keys.max(axis=0)
-        self.dim = d
-
-    def _ring_cells(self, center: np.ndarray, r: int):
-        d = self.dim
-        if r == 0:
-            yield tuple(center)
-            return
-        for offset in itertools.product(range(-r, r + 1), repeat=d):
-            if max(abs(o) for o in offset) != r:
-                continue
-            yield tuple(center + np.asarray(offset))
-
-    def query(self, x, k: int, exclude: int = -1) -> np.ndarray:
-        """Indices of the k nearest points to x, ties broken by index."""
-        x = np.asarray(x, dtype=float)
-        c0 = np.floor((x - self.origin) / self.cell).astype(np.int64)
-        max_ring = int(np.max(np.maximum(self.key_hi - c0, c0 - self.key_lo))) + 1
-        cand_idx: list[np.ndarray] = []
-        cand_dist: list[np.ndarray] = []
-        count = 0
-        kth = np.inf
-        for r in range(max_ring + 1):
-            hit = [self.buckets[key] for key in self._ring_cells(c0, r)
-                   if key in self.buckets]
-            if hit:
-                idx = np.concatenate(hit)
-                if exclude >= 0:
-                    idx = idx[idx != exclude]
-                if len(idx):
-                    dist = _pair_dists(self.points[idx], x)
-                    cand_idx.append(idx)
-                    cand_dist.append(dist)
-                    count += len(idx)
-            if count >= k:
-                dist_all = np.concatenate(cand_dist)
-                idx_all = np.concatenate(cand_idx)
-                sel = np.lexsort((idx_all, dist_all))
-                kth = dist_all[sel[k - 1]]
-                # points beyond ring r are at distance >= r * cell
-                if r * self.cell > kth:
-                    return idx_all[sel[:k]]
-        if count < k:
-            raise ValueError(f"need at least k={k} other points, got {count}")
-        dist_all = np.concatenate(cand_dist)
-        idx_all = np.concatenate(cand_idx)
-        sel = np.lexsort((idx_all, dist_all))
-        return idx_all[sel[:k]]
+    out_idx = np.empty((len(rows), k), dtype=np.int64)
+    out_dist = np.empty((len(rows), k))
+    todo = np.arange(len(rows))
+    r = 1
+    while len(todo):
+        reach = np.minimum(r, shape - 1)
+        bound = np.inf if (reach == shape - 1).all() else r * wmin
+        offsets = np.stack(np.meshgrid(*[np.arange(-a, a + 1) for a in reach],
+                                       indexing="ij"), axis=-1).reshape(-1, d)
+        nblock = len(offsets)
+        failed = []
+        step = max(1, _CHUNK // nblock)
+        for s in range(0, len(todo), step):
+            block = cell[rows[todo[s:s + step]]][:, None, :] + offsets
+            inside = ((block >= 0) & (block < shape)).all(axis=2)
+            ids = np.where(inside, block @ strides, 0)
+            first = np.where(inside, starts[ids], 0)
+            count = np.where(inside, starts[ids + 1], 0) - first
+            cost = np.cumsum(count.sum(axis=1) + nblock)
+            cuts = np.searchsorted(cost, np.arange(_CHUNK, cost[-1], _CHUNK))
+            for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(cost)]):
+                if a == b:
+                    continue
+                mine = todo[s + a:s + b]
+                lens = count[a:b].ravel()
+                pos = (np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
+                       + np.repeat(first[a:b].ravel(), lens))
+                cand = order[pos]
+                owner = np.repeat(np.arange(b - a), count[a:b].sum(axis=1))
+                query = rows[mine][owner]
+                diff = pts[cand] - pts[query]
+                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                # a row is final once k candidates lie within the bound
+                keep = (cand != query) & (dist < bound)
+                cand, owner, dist = cand[keep], owner[keep], dist[keep]
+                srt = np.lexsort((cand, dist, owner))
+                have = np.bincount(owner, minlength=b - a)
+                ok = have >= k
+                take = srt[(np.cumsum(have) - have)[ok, None] + np.arange(k)]
+                out_idx[mine[ok]] = cand[take]
+                out_dist[mine[ok]] = dist[take]
+                failed.append(mine[~ok])
+        todo = np.concatenate(failed)
+        r *= 2
+    return out_idx, out_dist
 
 
 def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) neighbour-index matrix via the dimension-appropriate fast path."""
+    """(n, k) neighbour-index matrix, each row sorted by (distance, index)."""
     pts = np.asarray(points, dtype=float)
-    n, d = pts.shape
+    n = len(pts)
     if n - 1 < k:
         raise ValueError(f"need at least k+1={k + 1} points, got {n}")
-    if d == 1:
-        return _knn_indices_1d(pts, k)
-    grid = UniformGridIndex(pts)
-    out = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        out[i] = grid.query(pts[i], k, exclude=i)
-    return out
+    return _knn(pts, k, np.arange(n))[0]
 
 
 def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.ndarray:
@@ -164,10 +158,7 @@ def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.nda
         if subset is not None:
             out = np.where(subset, out, np.nan)
         return out
-    grid = UniformGridIndex(pts)
+    rows = np.nonzero(subset)[0] if subset is not None else np.arange(n)
     out = np.full(n, np.nan)
-    idx_iter = np.nonzero(subset)[0] if subset is not None else range(n)
-    for i in idx_iter:
-        j = grid.query(pts[i], 1, exclude=i)[0]
-        out[i] = float(np.sqrt(np.sum((pts[i] - pts[j]) ** 2)))
+    out[rows] = _knn(pts, 1, rows)[1][:, 0]
     return out

@@ -147,6 +147,20 @@ class TestScaledStatistics:
         vec = fn.t_vector(THREE, [f], spec)
         assert vec.values.tolist() == [fn.t_statistic(THREE, f, spec)]
 
+    @pytest.mark.parametrize("family,k", [(fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 3)])
+    def test_t_vector_matches_per_region_statistics(self, family, k):
+        # the configuration is scored once and the scores reused per region
+        rng = np.random.default_rng(8)
+        config = PointConfiguration(dimension=2, points=rng.uniform(size=(300, 2)))
+        fs = [fn.TestFunctionSpec(region=Region.from_bounds([((0.0, 0.0), (0.5, 1.0))])),
+              fn.TestFunctionSpec(region=Region.from_bounds([((0.5, 0.0), (1.0, 1.0))]),
+                                  kind="piecewise", values=(-2.0,)),
+              fn.TestFunctionSpec(region=Region.from_bounds([((5.0, 5.0), (6.0, 6.0))]))]
+        spec = fn.FunctionalSpec(family=family, k=k, alpha=1.5, lam=300.0)
+        expected = [fn.t_statistic(config, f, spec) for f in fs]
+        assert fn.t_vector(config, fs, spec).values.tolist() == expected
+        assert expected[0] > 0.0 and expected[1] < 0.0 and expected[2] == 0.0
+
     def test_t_vector_empty_config_is_zero(self):
         empty = PointConfiguration(dimension=1, points=np.empty((0, 1)))
         fs = [fn.TestFunctionSpec(region=Region.interval(0.0, 1.0)),
@@ -183,9 +197,10 @@ class TestScaledStatistics:
 class TestThresholding:
     def test_extremes(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=4.0)
-        assert fn.thresholded_t(THREE, f, spec, np.inf) == fn.t_statistic(THREE, f, spec)
-        assert fn.thresholded_t(THREE, f, spec, 0.0) == 0.0
+        for family, k in ((fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 2)):
+            spec = fn.FunctionalSpec(family=family, k=k, alpha=1.0, lam=4.0)
+            assert fn.thresholded_t(THREE, f, spec, np.inf) == fn.t_statistic(THREE, f, spec)
+            assert fn.thresholded_t(THREE, f, spec, 0.0) == 0.0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(33)

@@ -1,9 +1,33 @@
 """Accelerated neighbour search against the quadratic reference."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stabpp import neighbors as nb
+
+
+@st.composite
+def lattice_clouds(draw):
+    """Small-integer lattice points (ties, exact duplicates) and a k.
+
+    The cloud may have one axis collapsed to a constant or be a single
+    repeated point, and n may be exactly k+1.
+    """
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.just(k + 1), st.integers(k + 1, 40)))
+    pts = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-2, 2).map(float)))
+    shape = draw(st.sampled_from(["lattice", "flat", "identical"]))
+    if shape == "flat":
+        pts[:, draw(st.integers(0, d - 1))] = draw(st.integers(-2, 2))
+    elif shape == "identical":
+        pts[:] = pts[0]
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 7.0]))
+    return pts * scale, k
 
 
 class TestEquivalence:
@@ -31,6 +55,24 @@ class TestEquivalence:
         assert got[0].tolist() == [1, 2]
         assert np.array_equal(got, nb.brute_force_knn(pts, 2))
 
+    def test_1d_ties_with_duplicates_to_the_left(self):
+        pts = np.array([[0.0], [5.0], [0.0], [1.0]])
+        assert nb.knn_indices(pts, 1).tolist() == [[2], [3], [0], [0]]
+
+    def test_collinear_input_finishes(self):
+        x = np.linspace(0.0, 1.0, 2000)
+        pts = np.c_[x, 2.0 * x]
+        started = time.perf_counter()
+        got = nb.knn_indices(pts, 3)
+        assert time.perf_counter() - started < 1.0
+        assert np.array_equal(got, nb.brute_force_knn(pts, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_clouds())
+    def test_lattices_match_oracle(self, cloud):
+        pts, k = cloud
+        assert np.array_equal(nb.knn_indices(pts, k), nb.brute_force_knn(pts, k))
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             nb.knn_indices(np.zeros((3, 2)), 3)
@@ -55,13 +97,11 @@ class TestNNDistances:
         assert np.allclose(out[mask], full[mask])
         assert np.all(np.isnan(out[~mask]))
 
-
-class TestGridIndex:
-    def test_external_query_point(self):
-        rng = np.random.default_rng(9)
-        pts = rng.uniform(size=(120, 2))
-        grid = nb.UniformGridIndex(pts)
-        x = np.array([1.7, -0.4])  # outside the cloud
-        d = np.sqrt(((pts - x) ** 2).sum(axis=1))
-        expected = np.lexsort((np.arange(len(pts)), d))[:4]
-        assert np.array_equal(grid.query(x, 4), expected)
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_clouds())
+    def test_lattices_match_oracle_distance(self, cloud):
+        pts, _ = cloud
+        nn = nb.brute_force_knn(pts, 1)[:, 0]
+        diff = pts - pts[nn]
+        expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        assert np.array_equal(nb.nn_distances(pts), expected)

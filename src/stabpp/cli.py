@@ -20,11 +20,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .experiments import (DEFAULT_T_GRID, ExperimentPlan, ExperimentReport,
-                          fit_rate, run_experiment)
+                          above_noise_floor, fit_rate, run_experiment)
 from .functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
                           TestFunctionSpec, stabilization_probe)
 from .point_process import (DensitySpec, sample_binomial,
@@ -415,8 +413,7 @@ def _cmd_rate(args) -> int:
         return EXIT_USAGE
     lams = [lr["lambda"] for lr in per_lambda]
     ds = [lr["joint_discrepancy"] for lr in per_lambda]
-    floor = 1.0 / np.sqrt(float(payload.get("replicates", 1)))
-    keep = [i for i, d in enumerate(ds) if d >= floor]
+    floor, keep = above_noise_floor(ds, float(payload.get("replicates", 1)))
     if len(keep) < 3:
         print(f"error: only {len(keep)} intensities above the noise floor "
               f"{floor:.4g}; cannot refit", file=sys.stderr)

@@ -53,6 +53,7 @@ __all__ = [
     "ks_to_normal",
     "product_form_discrepancy",
     "fit_rate",
+    "above_noise_floor",
     "run_experiment",
     "directed_nn_experiment",
     "compare_poisson_binomial",
@@ -105,11 +106,17 @@ class ExperimentPlan:
             raise ValueError("lambda grid must be strictly increasing")
 
 
-def _one_replicate(plan: ExperimentPlan, lam: float, r: int) -> StatVector:
-    spec = plan.functional.with_lambda(lam)
-    streams = [r] + [_RETRY_STREAM_BASE + 4 * r + a for a in range(3)]
+def _replicate_streams(r: int) -> tuple[int, ...]:
+    """Stream r, then its 3 reserved retry streams."""
+    base = _RETRY_STREAM_BASE + 4 * r
+    return (r, base, base + 1, base + 2)
+
+
+def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec,
+                   r: int) -> StatVector:
+    lam = spec.lam
     last_err = None
-    for s in streams:
+    for s in _replicate_streams(r):
         config = sample_poisson(plan.density, lam, plan.seed, stream=s)
         try:
             return t_vector(config, plan.test_functions, spec)
@@ -121,8 +128,8 @@ def _one_replicate(plan: ExperimentPlan, lam: float, r: int) -> StatVector:
 
 
 def _replicate_chunk(args) -> list[np.ndarray]:
-    plan, lam, indices = args
-    return [_one_replicate(plan, lam, int(r)).values for r in indices]
+    plan, spec, indices = args
+    return [_one_replicate(plan, spec, int(r)).values for r in indices]
 
 
 def run_replicates(plan: ExperimentPlan, lam: float,
@@ -131,11 +138,11 @@ def run_replicates(plan: ExperimentPlan, lam: float,
     n = plan.replicates
     spec = plan.functional.with_lambda(lam)
     if workers <= 1:
-        return [_one_replicate(plan, lam, r) for r in range(n)]
+        return [_one_replicate(plan, spec, r) for r in range(n)]
     chunks = [c for c in np.array_split(np.arange(n), 4 * workers) if len(c)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_replicate_chunk,
-                              [(plan, lam, c) for c in chunks]))
+                              [(plan, spec, c) for c in chunks]))
     values = [v for chunk in parts for v in chunk]
     return [StatVector(values=v, lam=lam, spec=spec) for v in values]
 
@@ -302,6 +309,13 @@ def fit_rate(lambdas, discrepancies) -> RateFit:
                    lambdas_used=tuple(float(v) for v in lams))
 
 
+def above_noise_floor(discrepancies, replicates) -> tuple[float, list[int]]:
+    """The Monte Carlo noise floor 1/sqrt(replicates), and the indices of the
+    discrepancies at or above it (the ones a rate fit may use)."""
+    floor = 1.0 / np.sqrt(replicates)
+    return floor, [i for i, d in enumerate(discrepancies) if d >= floor]
+
+
 # ---------------------------------------------------------------------------
 # full experiment pipeline
 
@@ -450,8 +464,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
         if progress is not None:
             progress(lam, reports[-1])
 
-    floor = 1.0 / np.sqrt(plan.replicates)
-    keep = [i for i, dsc in enumerate(discrepancies) if dsc >= floor]
+    floor, keep = above_noise_floor(discrepancies, plan.replicates)
     censored = tuple(plan.lambda_grid[i] for i in range(len(discrepancies))
                      if i not in keep)
     rate = None
@@ -540,7 +553,9 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
     Both processes live on the unit interval with unit density; the same
     replicate configurations are reused across the requested exponents.  The
     Poisson scaled variance should exceed the binomial one by the squared
-    Poisson-excess coefficient.
+    Poisson-excess coefficient.  A Poisson draw with fewer than 2 points is
+    redrawn on the retry streams of ``run_replicates``; after 3 retries the
+    run aborts with RuntimeError.
     """
     alphas = [float(a) for a in alphas]
     region = Region.interval(0.0, 1.0)
@@ -549,10 +564,15 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
     pois = {a: np.empty(replicates) for a in alphas}
     binom = {a: np.empty(replicates) for a in alphas}
     for r in range(replicates):
-        cfg_p = sample_poisson(density, lam, seed, stream=r)
-        while len(cfg_p) < 2:
-            cfg_p = sample_poisson(density, lam, seed,
-                                   stream=_RETRY_STREAM_BASE + r)
+        for s in _replicate_streams(r):
+            cfg_p = sample_poisson(density, lam, seed, stream=s)
+            if len(cfg_p) >= 2:
+                break
+        else:
+            raise RuntimeError(
+                f"replicate {r} at lambda={lam} failed after 3 retries "
+                f"(too few points for nearest-neighbour distances): "
+                f"{len(cfg_p)} points")
         cfg_b = sample_binomial(region, n_points, seed,
                                 stream=_BINOMIAL_STREAM_BASE + r)
         # every point lies in the region, so the region sum is the plain sum;

@@ -279,7 +279,10 @@ def _weighted_sums(config: PointConfiguration, fs: list, spec: FunctionalSpec,
         if threshold is not None:
             mask = mask & (radii <= threshold)
         if mask.any():
-            out[i] = np.dot(scores[mask], f.evaluate(pts[mask]))
+            # an indicator is 1 on its region: no second membership test
+            weights = (np.ones(np.count_nonzero(mask)) if f.kind == "indicator"
+                       else f.evaluate(pts[mask]))
+            out[i] = np.dot(scores[mask], weights)
     return out
 
 

@@ -5,13 +5,17 @@ the O(n^2) reference (`brute_force_knn`), which is kept as the test oracle.
 Distance ties are broken by the canonical point order (generation index), so
 both compute distances with the same formula and sort by (distance, index).
 
-The kernel buckets the points into a grid of about k+1 points per cell.  Each
-axis has its own cell width; an axis of zero extent, or thinner than a cell,
-gets a single cell, so collinear and thin inputs cannot shrink the cells.  All
-queries gather their candidates from the block of cells within r cells of
-their own at once.  A point outside the block is farther than r times the
-smallest width of an axis with several cells, so a row whose k-th distance is
-below that bound is final; the rows that fail are redone with r doubled.
+The kernel buckets the points into a grid of about k+1 points per cell.  The
+grid spans the per-axis 1% and 99% quantiles of the points, not their bounding
+box, so a few far outliers cannot crowd all other points into one cell; points
+beyond the quantiles are clamped into the edge cells.  Each axis has its own
+cell width; an axis of zero extent, or thinner than a cell, gets a single
+cell, so collinear and thin inputs cannot shrink the cells.  All queries
+gather their candidates from the block of cells within r cells of their own
+at once.  A point outside the block is farther than r times the smallest
+width of an axis with several cells (a clamped point lies even farther out
+than its cell says), so a row whose k-th distance is below that bound is
+final; the rows that fail are redone with r doubled.
 Queries go in chunks so that the candidate arrays stay bounded: all-duplicate
 input puts n^2 candidates into one cell.
 """
@@ -25,6 +29,8 @@ __all__ = ["brute_force_knn", "knn_indices", "nn_distances"]
 # candidates plus block cells gathered at once; larger chunks were no faster
 # and raised the peak resident set
 _CHUNK = 1 << 12
+# per-axis span of the grid; points beyond it go to the edge cells
+_QUANTILES = (0.01, 0.99)
 
 
 def _pair_dists(points: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -67,11 +73,11 @@ def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
     n, d = pts.shape
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
-    lo = pts.min(axis=0)
-    ext = pts.max(axis=0) - lo
+    lo, hi = np.quantile(pts, _QUANTILES, axis=0)
+    ext = hi - lo
     shape = _grid_shape(ext, n / (k + 1))
     width = np.where(shape > 1, ext / shape, np.inf)
-    cell = np.minimum(np.floor((pts - lo) / width).astype(np.int64), shape - 1)
+    cell = np.clip(np.floor((pts - lo) / width), 0, shape - 1).astype(np.int64)
     strides = np.cumprod(np.r_[shape[1:], 1][::-1])[::-1]
     cell_id = cell @ strides
     order = np.argsort(cell_id, kind="stable")
@@ -140,6 +146,11 @@ def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.nda
 
     With ``subset`` (a boolean mask) only those rows are filled; the rest are
     NaN.  Neighbours are always searched in the full configuration.
+
+    In one dimension the nearest neighbour is adjacent in sorted order.  The
+    sort need not be stable: equal coordinates form one contiguous run of the
+    sorted array and each member of the run is at distance 0 from a
+    neighbour in it, so the order within a run cannot change any distance.
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
@@ -147,16 +158,15 @@ def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.nda
         raise ValueError("need at least 2 points")
     if d == 1:
         x = pts[:, 0]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        gaps = np.diff(xs)
-        left = np.r_[np.inf, gaps]
-        right = np.r_[gaps, np.inf]
-        nn_sorted = np.minimum(left, right)
+        order = np.argsort(x)
+        gaps = np.diff(x[order])
+        nn_sorted = np.empty(n)
+        nn_sorted[0], nn_sorted[-1] = gaps[0], gaps[-1]
+        np.minimum(gaps[:-1], gaps[1:], out=nn_sorted[1:-1])
         out = np.empty(n)
         out[order] = nn_sorted
         if subset is not None:
-            out = np.where(subset, out, np.nan)
+            out[np.logical_not(subset)] = np.nan
         return out
     rows = np.nonzero(subset)[0] if subset is not None else np.arange(n)
     out = np.full(n, np.nan)

@@ -15,6 +15,7 @@ s = stab_constant * lambda^(-1/d) * log(lambda) from its topological boundary
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,11 +70,18 @@ class Box:
             v *= b - a
         return v
 
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) as read-only float arrays, built once per box."""
+        lo, hi = np.array(self.lower), np.array(self.upper)
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return lo, hi
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Half-open membership test for an (n, d) array (or a single point)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
+        lo, hi = self.bounds
         return np.all((pts >= lo) & (pts < hi), axis=1)
 
 
@@ -120,8 +128,9 @@ class Region:
 
     def contains(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        mask = np.zeros(len(pts), dtype=bool)
-        for b in self.boxes:
+        first, *rest = self.boxes
+        mask = first.contains(pts)
+        for b in rest:
             mask |= b.contains(pts)
         return mask
 
@@ -214,10 +223,9 @@ def _complement_pieces(region: Region):
     frame = (lo - pad, hi + pad)
     pieces = [frame]
     for b in region.boxes:
-        cut = (np.asarray(b.lower, dtype=float), np.asarray(b.upper, dtype=float))
         nxt = []
         for p in pieces:
-            nxt.extend(_subtract(p, cut))
+            nxt.extend(_subtract(p, b.bounds))
         pieces = nxt
     return frame, pieces
 
@@ -259,9 +267,7 @@ def _dist_to_boundary_many(pts: np.ndarray, region: Region, norm: str,
         frame, comp = complement
     d_region = np.full(len(pts), np.inf)
     for b in region.boxes:
-        d_region = np.minimum(
-            d_region,
-            _clamp_dist(pts, np.asarray(b.lower), np.asarray(b.upper), norm))
+        d_region = np.minimum(d_region, _clamp_dist(pts, *b.bounds, norm))
     d_comp = np.full(len(pts), np.inf)
     for lo, hi in comp:
         d_comp = np.minimum(d_comp, _clamp_dist(pts, lo, hi, norm))
@@ -311,8 +317,7 @@ def boundary_split(region: Region, params: LatticeParams
 
 def _scaled_boxes(region: Region, lam: float):
     scale = float(lam) ** (1.0 / region.dimension)
-    return [(scale * np.asarray(b.lower), scale * np.asarray(b.upper))
-            for b in region.boxes]
+    return [(scale * b.bounds[0], scale * b.bounds[1]) for b in region.boxes]
 
 
 def _center_range(lo: float, hi: float) -> range:

@@ -1,6 +1,7 @@
 """Estimators, normality diagnostics, rate fits, and the experiment pipeline."""
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.special import ndtr
 
 from stabpp import experiments as ex
 from stabpp.functionals import DIRECTED_NN, FunctionalSpec, StatVector, TestFunctionSpec
-from stabpp.point_process import DensitySpec
+from stabpp.point_process import DensitySpec, generator
 from stabpp.regions import Region
 from stabpp.special import v_alpha
 
@@ -166,6 +167,37 @@ class TestRateFit:
             with pytest.warns(UserWarning):
                 ex.fit_rate([10.0, 100.0, 1000.0], [0.1, 0.01, 0.0])
 
+    def test_noise_floor_keeps_values_at_or_above_it(self):
+        floor, keep = ex.above_noise_floor([0.2, 0.1, 0.05, 0.1], 100)
+        assert floor == 0.1
+        assert keep == [0, 1, 3]
+
+
+def plain_directed_replicate(plan, lam, r):
+    """One 1-d directed replicate written out directly: stream r, then the
+    retry streams (1 << 32) + 4r + a; Generator.uniform per box; the O(n^2)
+    nearest-neighbour distance of the dilated points; a dot with ones."""
+    for stream in [r] + [(1 << 32) + 4 * r + a for a in range(3)]:
+        rng = generator(plan.seed, stream)
+        parts = []
+        for w, box in zip(plan.density.weights, plan.density.region.boxes):
+            n = int(rng.poisson(lam * w * box.volume))
+            parts.append(rng.uniform(box.lower, box.upper, size=(n, 1)))
+        x = np.concatenate(parts)[:, 0]
+        masks = [(x >= reg.boxes[0].lower[0]) & (x < reg.boxes[0].upper[0])
+                 for reg in plan.regions]
+        if not np.logical_or.reduce(masks).any():
+            return np.zeros(len(masks))
+        if len(x) < 2:
+            continue
+        xd = x * lam
+        gap = np.abs(xd[:, None] - xd[None, :])
+        np.fill_diagonal(gap, np.inf)
+        scores = gap.min(axis=1) ** plan.functional.alpha
+        return np.array([np.dot(scores[m], np.ones(m.sum())) if m.any() else 0.0
+                         for m in masks])
+    raise AssertionError("reference ran out of retry streams")
+
 
 class TestRunReplicates:
     def test_deterministic_and_reproducible(self):
@@ -212,6 +244,25 @@ class TestRunReplicates:
         )
         with pytest.raises(RuntimeError, match="retries"):
             ex.run_replicates(plan, 2.0)
+
+    @pytest.mark.parametrize("lam", [5.0, 50.0, 500.0])
+    def test_1d_directed_equals_plain_reference(self, lam):
+        # two regions over a two-box density, so points outside both regions
+        # and (at lambda = 5) retried replicates occur
+        support = Region.from_bounds([((0.0,), (1.0,)), ((1.0,), (2.0,))])
+        density = DensitySpec(region=support, weights=(1.0, 0.25),
+                              normalized=False)
+        regions = (Region.interval(0.0, 0.5), Region.interval(0.5, 1.25))
+        alpha = 1.5
+        plan = ex.ExperimentPlan(
+            density=density, regions=regions,
+            test_functions=tuple(TestFunctionSpec(region=r) for r in regions),
+            functional=FunctionalSpec(family=DIRECTED_NN, alpha=alpha),
+            lambda_grid=(lam,), replicates=40, seed=3)
+        got = ex.run_replicates(plan, lam)
+        for r, vec in enumerate(got):
+            assert np.array_equal(vec.values,
+                                  plain_directed_replicate(plan, lam, r))
 
     def test_plan_validation(self):
         region = Region.interval(0.0, 1.0)
@@ -274,6 +325,14 @@ class TestPipeline:
         row = rows[0]
         assert row.excess > 0.0
         assert row.excess == pytest.approx(0.25, abs=4.0 * row.combined_se + 0.02)
+
+    def test_small_lambda_fails_fast(self):
+        # almost every draw at lambda = 0.3 has fewer than 2 points; the
+        # retries are bounded, so this raises instead of hanging
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="retries"):
+            ex.compare_poisson_binomial([1.0], lam=0.3, replicates=5, seed=0)
+        assert time.perf_counter() - started < 1.0
 
     def test_normal_cdf_reference(self):
         # ndtr is the Phi used throughout; pin it against the error function

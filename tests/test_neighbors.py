@@ -67,6 +67,16 @@ class TestEquivalence:
         assert time.perf_counter() - started < 1.0
         assert np.array_equal(got, nb.brute_force_knn(pts, 3))
 
+    def test_far_outlier_finishes(self):
+        # cells come from quantiles, so the outlier cannot put every other
+        # point into one cell
+        rng = np.random.default_rng(8)
+        pts = np.vstack([rng.uniform(size=(1999, 2)), [[100.0, 100.0]]])
+        started = time.perf_counter()
+        got = nb.knn_indices(pts, 3)
+        assert time.perf_counter() - started < 0.2
+        assert np.array_equal(got, nb.brute_force_knn(pts, 3))
+
     @settings(max_examples=300, deadline=None)
     @given(lattice_clouds())
     def test_lattices_match_oracle(self, cloud):
@@ -95,6 +105,19 @@ class TestNNDistances:
         out = nb.nn_distances(pts, subset=mask)
         full = nb.nn_distances(pts)
         assert np.allclose(out[mask], full[mask])
+        assert np.all(np.isnan(out[~mask]))
+
+    def test_1d_tie_groups_with_subset(self):
+        # an unstable sort permutes tied points; no distance may change
+        rng = np.random.default_rng(12)
+        ties = rng.integers(0, 80, size=400) * 0.37
+        pts = np.r_[ties, rng.uniform(0.0, 30.0, size=200)].reshape(-1, 1)
+        mask = rng.uniform(size=len(pts)) < 0.4
+        nn = nb.brute_force_knn(pts, 1)[:, 0]
+        diff = pts - pts[nn]
+        expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        out = nb.nn_distances(pts, subset=mask)
+        assert np.array_equal(out[mask], expected[mask])
         assert np.all(np.isnan(out[~mask]))
 
     @settings(max_examples=200, deadline=None)

@@ -58,6 +58,23 @@ class TestDeterminism:
         again = pp.sample_poisson(dens, 300.0, seed=5, stream=3)
         assert np.array_equal(direct.points, again.points)
 
+    def test_uniforms_equal_generator_uniform(self):
+        # the sampler's affine uniforms must reproduce Generator.uniform bit
+        # for bit on several non-unit boxes
+        region = Region.from_bounds([((-1.5, 2.0), (0.5, 2.25)),
+                                     ((3.0, -4.0), (7.5, -1.0)),
+                                     ((10.0, 0.1), (10.3, 9.9))])
+        dens = pp.DensitySpec(region=region, weights=(3.0, 0.4, 1.7),
+                              normalized=False)
+        for stream in range(20):
+            got = pp.sample_poisson(dens, 50.0, seed=11, stream=stream)
+            rng = pp.generator(11, stream)
+            parts = []
+            for w, box in zip(dens.weights, region.boxes):
+                n = int(rng.poisson(50.0 * w * box.volume))
+                parts.append(rng.uniform(box.lower, box.upper, size=(n, 2)))
+            assert np.array_equal(got.points, np.concatenate(parts))
+
 
 class TestPoissonLaw:
     def test_zero_weight_box_stays_empty(self):

@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .functionals import (DIRECTED_NN, FunctionalSpec, InsufficientPointsError,
-                          StatVector, TestFunctionSpec, t_vector)
+                          StatVector, TestFunctionSpec, fit_line, t_vector)
 from .neighbors import nn_distances
 from .point_process import DensitySpec, sample_binomial, sample_poisson
 from .regions import Region
-from .special import delta_alpha, limiting_mean, limiting_variance
+from .special import delta_alpha, limiting_mean, limiting_variance, ndtr
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -299,13 +298,8 @@ def fit_rate(lambdas, discrepancies) -> RateFit:
     lams, ds = lams[keep], ds[keep]
     if len(lams) < 3:
         raise ValueError("rate fit needs at least 3 positive (lambda, D) pairs")
-    x = np.log(lams)
-    y = np.log(ds)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0.0 else 1.0
-    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
+    slope, intercept, r2 = fit_line(np.log(lams), np.log(ds))
+    return RateFit(slope=slope, intercept=intercept, r_squared=r2,
                    lambdas_used=tuple(float(v) for v in lams))
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "t_vector",
     "thresholded_t",
     "stabilization_probe",
+    "fit_line",
 ]
 
 DIRECTED_NN = "nn_directed"
@@ -196,7 +197,9 @@ def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
     dst = nbr.ravel()
     u = np.minimum(src, dst)
     v = np.maximum(src, dst)
-    edges = np.unique(u * n + v)
+    # np.unique without its lazy numpy.ma import: sorted keys, repeats dropped
+    keys = np.sort(u * n + v)
+    edges = keys[np.r_[True, keys[1:] != keys[:-1]]]
     eu, ev = edges // n, edges % n
     w = np.sqrt(np.sum((points[eu] - points[ev]) ** 2, axis=1)) ** alpha
     xi = np.zeros(n)
@@ -325,6 +328,19 @@ def thresholded_t(config: PointConfiguration, f: TestFunctionSpec,
 # ---------------------------------------------------------------------------
 # stabilization probe
 
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept, R^2).
+
+    R^2 is 1 when y is constant.  The rate fit and the probe's decay fit
+    both use it.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0.0 else 1.0
+    return float(slope), float(intercept), r2
+
+
 @dataclass
 class StabilizationProbeResult:
     """Empirical stabilization radii with tail estimates and decay fit."""
@@ -446,13 +462,9 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
             radii=radii, censored=censored, t_grid=t_grid,
             tail_probs=tail_probs, decay_slope=0.0, r_squared=1.0, meta=meta)
     ts = t_grid[sel]
-    ys = np.log(tail_probs[sel])
-    slope, intercept = np.polyfit(ts, ys, 1)
-    resid = ys - (slope * ts + intercept)
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, _, r2 = fit_line(ts, np.log(tail_probs[sel]))
     return StabilizationProbeResult(
         radii=radii, censored=censored, t_grid=t_grid, tail_probs=tail_probs,
-        decay_slope=float(slope), r_squared=r2,
+        decay_slope=slope, r_squared=r2,
         fit_window=(float(ts[0]), float(ts[-1])), meta=meta,
     )

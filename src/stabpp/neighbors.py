@@ -5,10 +5,12 @@ the O(n^2) reference (`brute_force_knn`), which is kept as the test oracle.
 Distance ties are broken by the canonical point order (generation index), so
 both compute distances with the same formula and sort by (distance, index).
 
-The kernel buckets the points into a grid of about k+1 points per cell.  The
-grid spans the per-axis 1% and 99% quantiles of the points, not their bounding
-box, so a few far outliers cannot crowd all other points into one cell; points
-beyond the quantiles are clamped into the edge cells.  Each axis has its own
+The kernel buckets the points into a grid of about k+1 points per cell.  On
+each axis the grid spans the order statistics of zero-based ranks c and
+n-1-c, c = (n-1) // 100, which bracket the 1% and 99% quantiles; one
+``np.partition`` finds both.  Spanning these rather than the bounding box
+keeps a few far outliers from crowding all other points into one cell;
+points beyond them are clamped into the edge cells.  Each axis has its own
 cell width; an axis of zero extent, or thinner than a cell, gets a single
 cell, so collinear and thin inputs cannot shrink the cells.  All queries
 gather their candidates from the block of cells within r cells of their own
@@ -29,8 +31,6 @@ __all__ = ["brute_force_knn", "knn_indices", "nn_distances"]
 # candidates plus block cells gathered at once; larger chunks were no faster
 # and raised the peak resident set
 _CHUNK = 1 << 12
-# per-axis span of the grid; points beyond it go to the edge cells
-_QUANTILES = (0.01, 0.99)
 
 
 def _pair_dists(points: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -73,7 +73,9 @@ def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
     n, d = pts.shape
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
-    lo, hi = np.quantile(pts, _QUANTILES, axis=0)
+    cut = (n - 1) // 100
+    part = np.partition(pts, (cut, n - 1 - cut), axis=0)
+    lo, hi = part[cut], part[n - 1 - cut]
     ext = hi - lo
     shape = _grid_shape(ext, n / (k + 1))
     width = np.where(shape > 1, ext / shape, np.inf)

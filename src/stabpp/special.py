@@ -13,7 +13,17 @@ so the per-region limiting variance in the Poisson case is
 
     v_alpha * I + (delta_alpha * I)^2,   I = integral of the density over the region.
 
-Everything here is a pure function of its float arguments; no state, safe for
+The normality checks need the standard normal CDF, ``ndtr``.  It is a numpy
+port of the Cephes ``ndtr``/``erf``/``erfc`` (Moshier, *Methods and Programs
+for Mathematical Functions*, 1989) as scipy builds it, and it returns the same
+doubles as ``scipy.special.ndtr``: the same branches, coefficient tables and
+Horner order.  The factor exp(-z^2) of the ``erfc`` branch goes through
+``math.exp`` one element at a time, because that is the C library's exp,
+which Cephes calls too; numpy's vectorized ``np.exp`` can differ from it in
+the last bit.  Porting the function keeps scipy, which costs about 0.3 s and
+300 modules to import, off the runtime path.
+
+Everything here is a pure function of its arguments; no state, safe for
 concurrent use.
 """
 
@@ -21,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ConvergenceError",
@@ -34,6 +46,7 @@ __all__ = [
     "limiting_mean",
     "limiting_variance",
     "AsymptoticConstants",
+    "ndtr",
 ]
 
 
@@ -220,3 +233,76 @@ class AsymptoticConstants:
         """Per-region limiting variance for the given density integral."""
         d = self.delta_alpha * kappa_integral
         return self.v_alpha * kappa_integral + d * d
+
+
+# ---------------------------------------------------------------------------
+# standard normal CDF: the Cephes ndtr, erf and erfc
+
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+# Cephes polynomial tables, highest power first.  U, Q and S are monic: Cephes
+# evaluates them with p1evl, which is polevl with the leading 1 written out
+# here, since 1 * x is exact.
+# erf(x) = x * T(x^2) / U(x^2) for |x| < 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+# erfc(x) = exp(-x^2) * P(x) / Q(x) for 1 <= x < 8, with R / S from 8 on
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Horner evaluation in the order of Cephes ``polevl``."""
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def ndtr(a) -> np.ndarray | float:
+    """Standard normal CDF, equal bit for bit to ``scipy.special.ndtr``.
+
+    With x = a / sqrt(2) and z = |x|: 0.5 + 0.5 erf(x) if z < 1, otherwise
+    0.5 erfc(z), reflected to 1 - 0.5 erfc(z) for x > 0.  erfc underflows
+    to 0 once z^2 > MAXLOG, so the tails are exactly 0 and 1, and +-inf give
+    1 and 0; nan gives nan.  Returns a float for scalar input.
+    """
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    z = np.abs(x)
+    out = np.full(x.shape, np.nan)
+
+    mid = z < 1.0
+    xm = x[mid]
+    out[mid] = 0.5 + 0.5 * (xm * _polevl(xm * xm, _ERF_T) / _polevl(xm * xm, _ERF_U))
+
+    tail = z >= 1.0
+    zt = z[tail]
+    with np.errstate(over="ignore"):  # a huge finite z squares to inf: dead too
+        live = zt * zt <= _MAXLOG
+    zl = zt[live]
+    near = zl < 8.0
+    p = np.where(near, _polevl(zl, _ERFC_P), _polevl(zl, _ERFC_R))
+    q = np.where(near, _polevl(zl, _ERFC_Q), _polevl(zl, _ERFC_S))
+    e = np.fromiter(map(math.exp, (-zl * zl).tolist()), float, len(zl))
+    y = np.zeros(zt.shape)
+    y[live] = 0.5 * (e * p / q)
+    np.subtract(1.0, y, out=y, where=x[tail] > 0.0)
+    out[tail] = y
+    return float(out) if out.ndim == 0 else out

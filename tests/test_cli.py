@@ -2,9 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import stabpp
 from stabpp import cli
 from stabpp.special import delta_alpha_sq, v_alpha
 
@@ -204,3 +209,91 @@ class TestRateCommand:
 
     def test_missing_report_is_usage_error(self, tmp_path):
         assert cli.main(["rate", "--report", str(tmp_path / "nope.json")]) == 2
+
+
+def _inline_fit(x, y):
+    # the least-squares arithmetic the rate and probe fits each used to
+    # carry; the shared helper must return the same floats
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0.0 else 1.0
+    return float(slope), float(intercept), r2
+
+
+class TestFitPayloads:
+    def test_rate_fit_floats(self, tmp_path, capsys):
+        lams = [100.0, 400.0, 1600.0, 6400.0]
+        ds = [0.0871234, 0.0512345, 0.0253456, 0.0134567]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"payload": {
+            "replicates": 10_000,
+            "per_lambda": [{"lambda": lam, "joint_discrepancy": d}
+                           for lam, d in zip(lams, ds)]}}))
+        assert cli.main(["rate", "--report", str(path), "--json"]) == 0
+        fit = json.loads(capsys.readouterr().out)
+        slope, intercept, r2 = _inline_fit(np.log(lams), np.log(ds))
+        assert (fit["slope"], fit["intercept"], fit["r_squared"]) == (slope, intercept, r2)
+
+    @pytest.mark.parametrize("functional, probe", [
+        ({"family": "nn_directed", "alpha": 1.0},
+         {"count": 60, "resamples": 3, "lambda": 200.0}),
+        ({"family": "knn_undirected", "k": 2, "alpha": 1.0},
+         {"count": 12, "resamples": 2, "lambda": 80.0}),
+    ])
+    def test_probe_fit_floats(self, tmp_path, capsys, functional, probe):
+        dim = 1 if functional["family"] == "nn_directed" else 2
+        cfg = write_config(tmp_path, {
+            "dimension": dim,
+            "density": {"boxes": [{"lower": [0.0] * dim, "upper": [1.0] * dim}],
+                        "homogeneous": True},
+            "functional": functional, "probe": probe, "seed": 3})
+        assert cli.main(["stab-probe", "--config", cfg, "--json",
+                         "--out", str(tmp_path / "probe")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # the tail is nonincreasing, so the fitted rows are the ones inside
+        # the reported window
+        lo, hi = doc["fit_window"]
+        rows = [r for r in doc["tail"] if lo <= r["t"] <= hi]
+        slope, _, r2 = _inline_fit(np.array([r["t"] for r in rows]),
+                                   np.log([r["tail_prob"] for r in rows]))
+        assert (doc["decay_slope"], doc["r_squared"]) == (slope, r2)
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None          # any scipy import now fails
+from stabpp import cli
+before = set(sys.modules)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+class TestImportBudget:
+    def test_runs_without_scipy_and_imports_nothing_late(self, tmp_path):
+        """The CLI runs with scipy blocked, and after ``import stabpp.cli``
+        a simulate loads no further module (a lazy import would land in the
+        timed part of the run).  A fresh interpreter, so the test suite's own
+        imports cannot hide one."""
+        plan_1d = write_config(tmp_path, base_config(
+            lambda_grid=[50.0, 100.0], replicates=12), "d1.json")
+        plan_2d = write_config(tmp_path, {
+            "dimension": 2,
+            "density": {"boxes": [{"lower": [0.0, 0.0], "upper": [1.0, 1.0]}],
+                        "homogeneous": True},
+            "regions": [[{"lower": [0.0, 0.0], "upper": [0.5, 1.0]}],
+                        [{"lower": [0.5, 0.0], "upper": [1.0, 1.0]}]],
+            "functional": {"family": "knn_undirected", "k": 3, "alpha": 1.0},
+            "lambda_grid": [60.0, 120.0], "replicates": 6, "seed": 5}, "d2.json")
+        argvs = [["constants", "--alpha", "1", "2"],
+                 ["simulate", "--config", plan_1d, "--out", str(tmp_path / "o1")],
+                 ["simulate", "--config", plan_2d, "--out", str(tmp_path / "o2")]]
+        src = str(Path(stabpp.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-c", _NO_SCIPY_RUN, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=120,
+            env={"PYTHONPATH": src, "PATH": ""})
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"codes": [0, 0, 0], "added": []}

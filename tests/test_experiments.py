@@ -6,13 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr as scipy_ndtr
 
 from stabpp import experiments as ex
 from stabpp.functionals import DIRECTED_NN, FunctionalSpec, StatVector, TestFunctionSpec
 from stabpp.point_process import DensitySpec, generator
 from stabpp.regions import Region
-from stabpp.special import v_alpha
+from stabpp.special import ndtr, v_alpha
 
 
 def small_plan(replicates=50, lambda_grid=(40.0,), seed=1, alpha=1.0):
@@ -104,6 +104,15 @@ class TestKolmogorov:
         with pytest.raises(ValueError):
             ex.ks_to_normal([])
 
+    def test_same_floats_as_scipy_formula(self):
+        rng = np.random.default_rng(29)
+        for n in (1, 7, 500, 20_000):
+            x = np.sort(rng.standard_normal(n) * 1.3 + 0.1)
+            phi = scipy_ndtr(x)
+            ref = float(max((np.arange(1, n + 1) / n - phi).max(),
+                            (phi - np.arange(0, n) / n).max()))
+            assert ex.ks_to_normal(x) == ref
+
 
 class TestProductForm:
     def test_independent_normals(self):
@@ -137,6 +146,18 @@ class TestProductForm:
         # a coarse grid brings the node count back under budget
         joint = ex.product_form_discrepancy(std, t_grid=[-1.0, 0.0, 1.0])
         assert 0.0 <= joint.sup <= 1.0
+
+    def test_same_floats_as_scipy_formula(self):
+        rng = np.random.default_rng(31)
+        std = rng.standard_normal((20_000, 2)) @ np.array([[1.0, 0.4], [0.0, 0.9]])
+        grid = np.asarray(ex.DEFAULT_T_GRID)
+        ind = [(std[:, i][:, None] <= grid[None, :]).astype(float) for i in range(2)]
+        phi = scipy_ndtr(grid)
+        diff = np.abs(ind[0].T @ ind[1] / len(std) - np.multiply.outer(phi, phi))
+        joint = ex.product_form_discrepancy(std)
+        assert joint.sup == float(diff.max())
+        i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        assert joint.argmax_node == (float(grid[i]), float(grid[j]))
 
     def test_four_component_loop_path(self):
         rng = np.random.default_rng(23)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special as scipy_special
 
 from stabpp import special as sp
+from stabpp.experiments import DEFAULT_T_GRID
 
 # exact values of the limiting variance constant for the binomial case
 V_EXACT = {
@@ -164,3 +166,59 @@ class TestLimits:
         assert c.delta_alpha_sq == pytest.approx(0.25, rel=1e-12)
         assert c.sigma_sq(1.0) == pytest.approx(85.0 / 108.0 + 0.25, rel=1e-12)
         assert c.limiting_mean_coeff == pytest.approx(0.5, rel=1e-13)
+
+
+def _ulps_around(x, count=8):
+    """x and its ``count`` nearest doubles on each side."""
+    below, above, out = x, x, [x]
+    for _ in range(count):
+        below = np.nextafter(below, -np.inf)
+        above = np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+class TestNdtr:
+    """The numpy Phi must return the very doubles scipy's Cephes ndtr does."""
+
+    def assert_bit_exact(self, a):
+        a = np.asarray(a, dtype=float)
+        ours, ref = sp.ndtr(a), scipy_special.ndtr(a)
+        assert np.array_equal(ours, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(20070)
+        self.assert_bit_exact(rng.standard_normal(1_000_000))
+        self.assert_bit_exact(rng.uniform(-9.0, 9.0, 200_000))
+        self.assert_bit_exact(rng.uniform(-40.0, 40.0, 50_000))
+
+    def test_threshold_grid(self):
+        self.assert_bit_exact(DEFAULT_T_GRID)
+
+    def test_branch_and_underflow_edges(self):
+        # |a / sqrt 2| = 1 (erf | erfc), = 8 (P/Q | R/S), and the square of it
+        # at MAXLOG (erfc underflows to 0)
+        edges = [math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                 math.sqrt(2.0 * 7.09782712893383996843e2)]
+        a = [v for e in edges for s in (1.0, -1.0) for v in _ulps_around(s * e)]
+        self.assert_bit_exact(a)
+        self.assert_bit_exact(np.linspace(37.0, 38.5, 20_001))
+        self.assert_bit_exact(-np.linspace(37.0, 38.5, 20_001))
+
+    def test_special_values(self):
+        a = [38.0, -38.0, np.inf, -np.inf, 0.0, -0.0, np.nan, 1e300, -1e300,
+             np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324]
+        self.assert_bit_exact(a)
+        out = sp.ndtr(np.array(a))
+        assert out[2] == 1.0 and out[3] == 0.0
+        assert np.isnan(out[6])
+        assert not np.isnan(out[:6]).any()
+
+    def test_scalar_and_shape(self):
+        assert isinstance(sp.ndtr(0.7), float)
+        assert sp.ndtr(0.7) == scipy_special.ndtr(0.7)
+        grid = np.linspace(-4.0, 4.0, 24).reshape(2, 3, 4)
+        assert sp.ndtr(grid).shape == (2, 3, 4)
+        self.assert_bit_exact(grid)
+        assert sp.ndtr(np.empty(0)).shape == (0,)

@@ -2,16 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .special import (AsymptoticConstants, delta_alpha, delta_alpha_sq,
-                      exp_moment, gamma, gauss_2f1, limiting_mean,
-                      limiting_variance, v_alpha)
-from .regions import Box, CubeCover, LatticeParams, Region, boundary_split, covering, dist_to_boundary, packing, volume
+from .special import (delta_alpha, delta_alpha_sq, exp_moment, gauss_2f1,
+                      limiting_mean, limiting_variance, v_alpha)
+from .regions import Box, CubeCover, Region, covering, packing
 from .point_process import (DensitySpec, PointConfiguration, sample_binomial,
                             sample_homogeneous_line, sample_poisson)
 from .functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
                           StatVector, TestFunctionSpec, l_alpha, nn_distance,
-                          knn_neighbors, stabilization_probe, t_statistic,
-                          t_vector, thresholded_t, xi_directed_nn, xi_knn)
+                          stabilization_probe, t_statistic, t_vector,
+                          xi_directed_nn, xi_knn)
 from .experiments import (ExperimentPlan, ExperimentReport, RateFit,
                           compare_poisson_binomial, estimate_moments, fit_rate,
                           ks_to_normal, product_form_discrepancy,
@@ -20,16 +19,14 @@ from .experiments import (ExperimentPlan, ExperimentReport, RateFit,
 
 __all__ = [
     "__version__",
-    "AsymptoticConstants", "delta_alpha", "delta_alpha_sq", "exp_moment",
-    "gamma", "gauss_2f1", "limiting_mean", "limiting_variance", "v_alpha",
-    "Box", "CubeCover", "LatticeParams", "Region", "boundary_split",
-    "covering", "dist_to_boundary", "packing", "volume",
+    "delta_alpha", "delta_alpha_sq", "exp_moment", "gauss_2f1",
+    "limiting_mean", "limiting_variance", "v_alpha",
+    "Box", "CubeCover", "Region", "covering", "packing",
     "DensitySpec", "PointConfiguration", "sample_binomial",
     "sample_homogeneous_line", "sample_poisson",
     "DIRECTED_NN", "KNN_UNDIRECTED", "FunctionalSpec", "StatVector",
-    "TestFunctionSpec", "l_alpha", "nn_distance", "knn_neighbors",
-    "stabilization_probe", "t_statistic", "t_vector", "thresholded_t",
-    "xi_directed_nn", "xi_knn",
+    "TestFunctionSpec", "l_alpha", "nn_distance", "stabilization_probe",
+    "t_statistic", "t_vector", "xi_directed_nn", "xi_knn",
     "ExperimentPlan", "ExperimentReport", "RateFit",
     "compare_poisson_binomial", "estimate_moments", "fit_rate",
     "ks_to_normal", "product_form_discrepancy", "run_experiment",

@@ -21,8 +21,8 @@ import sys
 import time
 
 from . import __version__
-from .experiments import (DEFAULT_T_GRID, ExperimentPlan, ExperimentReport,
-                          above_noise_floor, fit_rate, run_experiment)
+from .experiments import (ExperimentPlan, ExperimentReport, above_noise_floor,
+                          fit_rate, run_experiment)
 from .functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
                           TestFunctionSpec, stabilization_probe)
 from .point_process import (DensitySpec, sample_binomial,
@@ -52,12 +52,21 @@ def _fmt(x) -> str:
 
 def _require_keys(obj: dict, where: str, required: tuple[str, ...],
                   optional: tuple[str, ...] = ()):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     for key in obj:
         if key not in required and key not in optional:
             raise ConfigError(f'unknown key "{key}" in {where}')
     for key in required:
         if key not in obj:
             raise ConfigError(f'missing required key "{key}" in {where}')
+
+
+def _parse_number(value, where: str, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from err
 
 
 def _parse_box(obj: dict, where: str, dimension: int) -> Box:
@@ -117,38 +126,69 @@ def _parse_test_function(obj: dict, region: Region, where: str) -> TestFunctionS
 _TOP_KEYS_REQUIRED = ("dimension", "density", "regions", "functional",
                       "lambda_grid", "replicates")
 _TOP_KEYS_OPTIONAL = ("seed", "test_functions", "t_grid", "probe", "check")
+_PROBE_KEYS_REQUIRED = ("dimension", "density", "functional", "probe")
+
+
+def _parse_plan_fields(config: dict) -> dict:
+    """ExperimentPlan fields from the plan keys present in the config.
+
+    Each key has one parser, so every command that reads a config rejects
+    the same bad values, whether or not it uses them.
+    """
+    dimension = _parse_number(config["dimension"], "dimension", int)
+    if dimension < 1:
+        raise ConfigError("dimension must be >= 1")
+    regions = config.get("regions", [])
+    if not isinstance(regions, list):
+        raise ConfigError("regions must be a list of regions")
+    fields = {
+        "density": _parse_density(config["density"], dimension),
+        "functional": _parse_functional(config["functional"]),
+        "regions": tuple(_parse_region(r, f"regions[{i}]", dimension)
+                         for i, r in enumerate(regions)),
+    }
+    tf_cfg = config.get("test_functions", [{"kind": "indicator"}] * len(regions))
+    if not isinstance(tf_cfg, list) or len(tf_cfg) != len(regions):
+        raise ConfigError("need one test function per region")
+    fields["test_functions"] = tuple(
+        _parse_test_function(o, r, f"test_functions[{i}]")
+        for i, (o, r) in enumerate(zip(tf_cfg, fields["regions"])))
+    for key in ("lambda_grid", "t_grid"):
+        if key in config:
+            if not isinstance(config[key], list):
+                raise ConfigError(f"{key} must be a list of numbers")
+            fields[key] = tuple(_parse_number(v, f"{key}[{i}]")
+                                for i, v in enumerate(config[key]))
+    if "replicates" in config:
+        fields["replicates"] = _parse_number(config["replicates"], "replicates", int)
+    return fields
+
+
+def _parse_probe_and_check(config: dict) -> tuple[dict | None, float]:
+    """The optional probe block (None when absent) and the check's
+    standard-error multiplier (3 by default), validated for every command."""
+    probe = None
+    if "probe" in config:
+        obj = config["probe"]
+        _require_keys(obj, "probe", ("count", "lambda"), ("resamples",))
+        probe = {"count": _parse_number(obj["count"], "probe.count", int),
+                 "lambda": _parse_number(obj["lambda"], "probe.lambda"),
+                 "resamples": _parse_number(obj.get("resamples", 5),
+                                            "probe.resamples", int)}
+        if probe["count"] < 1 or probe["resamples"] < 1 or not probe["lambda"] >= 1.0:
+            raise ConfigError("probe needs count >= 1, resamples >= 1 and lambda >= 1")
+    check = config.get("check", {})
+    _require_keys(check, "check", (), ("se_multiplier",))
+    return probe, _parse_number(check.get("se_multiplier", 3.0), "check.se_multiplier")
 
 
 def parse_plan(config: dict, seed_override: int | None = None) -> ExperimentPlan:
     """Validate a simulate config and build the experiment plan."""
     _require_keys(config, "config", _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
-    dimension = int(config["dimension"])
-    if dimension < 1:
-        raise ConfigError("dimension must be >= 1")
-    density = _parse_density(config["density"], dimension)
-    regions = tuple(_parse_region(r, f"regions[{i}]", dimension)
-                    for i, r in enumerate(config["regions"]))
-    functional = _parse_functional(config["functional"])
-    if "test_functions" in config:
-        tf_cfg = config["test_functions"]
-        if len(tf_cfg) != len(regions):
-            raise ConfigError("need one test function per region")
-        fs = tuple(_parse_test_function(o, r, f"test_functions[{i}]")
-                   for i, (o, r) in enumerate(zip(tf_cfg, regions)))
-    else:
-        fs = tuple(TestFunctionSpec(region=r) for r in regions)
+    fields = _parse_plan_fields(config)
     seed = seed_override if seed_override is not None else int(config.get("seed", 0))
     try:
-        return ExperimentPlan(
-            density=density,
-            regions=regions,
-            test_functions=fs,
-            functional=functional,
-            lambda_grid=tuple(float(v) for v in config["lambda_grid"]),
-            replicates=int(config["replicates"]),
-            seed=seed,
-            t_grid=tuple(float(v) for v in config.get("t_grid", DEFAULT_T_GRID)),
-        )
+        return ExperimentPlan(seed=seed, **fields)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -270,8 +310,9 @@ def _cmd_constants(args) -> int:
 def _cmd_sample(args) -> int:
     config = _load_config(args.config)
     _require_keys(config, "config", _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
-    dimension = int(config["dimension"])
-    density = _parse_density(config["density"], dimension)
+    density = _parse_plan_fields(config)["density"]
+    _parse_probe_and_check(config)
+    dimension = density.region.dimension
     seed = _resolve(args.seed, config.get("seed"), _env("SEED", int), 0)
     lam = args.lam if args.lam is not None else float(config["lambda_grid"][0])
     if args.process == "poisson":
@@ -326,8 +367,7 @@ def _cmd_simulate(args) -> int:
     workers = _resolve(args.workers, None, _env("WORKERS", int), 1)
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
     plan = parse_plan(config, seed_override=seed)
-    if "check" in config:
-        _require_keys(config["check"], "check", (), ("se_multiplier",))
+    _, se_multiplier = _parse_probe_and_check(config)
 
     def progress(lam, lambda_report):
         print(f"lambda={lam:g}: joint discrepancy "
@@ -343,8 +383,7 @@ def _cmd_simulate(args) -> int:
     else:
         print(f"wrote {path}")
     if args.check:
-        mult = float(config.get("check", {}).get("se_multiplier", 3.0))
-        failures = _run_check(report, mult)
+        failures = _run_check(report, se_multiplier)
         if failures:
             for line in failures:
                 print(f"check failed: {line}", file=sys.stderr)
@@ -356,25 +395,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_stab_probe(args) -> int:
     started = time.time()
     config = _load_config(args.config)
-    _require_keys(config, "config",
-                  ("dimension", "density", "functional", "probe"),
-                  ("seed", "regions", "lambda_grid", "replicates",
-                   "test_functions", "t_grid", "check"))
-    _require_keys(config["probe"], "probe", ("count", "lambda"),
-                  ("resamples",))
-    probe_count = int(config["probe"]["count"])
-    if probe_count < 1:
-        print("error: probe.count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    dimension = int(config["dimension"])
-    density = _parse_density(config["density"], dimension)
-    functional = _parse_functional(config["functional"])
+    _require_keys(config, "config", _PROBE_KEYS_REQUIRED,
+                  _TOP_KEYS_REQUIRED + _TOP_KEYS_OPTIONAL)
+    fields = _parse_plan_fields(config)
+    probe, _ = _parse_probe_and_check(config)
     seed = _resolve(args.seed, config.get("seed"), _env("SEED", int), 0)
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
     result = stabilization_probe(
-        density, float(config["probe"]["lambda"]), functional,
-        probe_count=probe_count,
-        resample_count=int(config["probe"].get("resamples", 5)),
+        fields["density"], probe["lambda"], fields["functional"],
+        probe_count=probe["count"], resample_count=probe["resamples"],
         seed=seed)
     payload = {
         "decay_slope": result.decay_slope,
@@ -388,9 +417,8 @@ def _cmd_stab_probe(args) -> int:
     path = _write_report(out_dir, payload, meta)
     with open(os.path.join(out_dir, "tail.csv"), "w", encoding="utf-8") as fh:
         fh.write("t,tail_prob,censored_count\n")
-        cens = int(result.censored.sum())
         for t, p in zip(result.t_grid, result.tail_probs):
-            fh.write(f"{_fmt(t)},{_fmt(p)},{cens}\n")
+            fh.write(f"{_fmt(t)},{_fmt(p)},{payload['censored_count']}\n")
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:

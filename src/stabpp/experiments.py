@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,9 @@ import numpy as np
 from .functionals import (DIRECTED_NN, FunctionalSpec, InsufficientPointsError,
                           StatVector, TestFunctionSpec, fit_line, t_vector)
 from .neighbors import nn_distances
-from .point_process import DensitySpec, sample_binomial, sample_poisson
+from .point_process import (BINOMIAL_STREAM_BASE, DensitySpec,
+                            replicate_streams, sample_binomial,
+                            sample_poisson)
 from .regions import Region
 from .special import delta_alpha, limiting_mean, limiting_variance, ndtr
 
@@ -60,9 +62,6 @@ __all__ = [
 ]
 
 DEFAULT_T_GRID = tuple(np.linspace(-3.0, 3.0, 13))
-
-_RETRY_STREAM_BASE = 1 << 32
-_BINOMIAL_STREAM_BASE = 1 << 36
 
 
 class DegenerateComponentError(ValueError):
@@ -105,17 +104,11 @@ class ExperimentPlan:
             raise ValueError("lambda grid must be strictly increasing")
 
 
-def _replicate_streams(r: int) -> tuple[int, ...]:
-    """Stream r, then its 3 reserved retry streams."""
-    base = _RETRY_STREAM_BASE + 4 * r
-    return (r, base, base + 1, base + 2)
-
-
 def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec,
                    r: int) -> StatVector:
     lam = spec.lam
     last_err = None
-    for s in _replicate_streams(r):
+    for s in replicate_streams(r):
         config = sample_poisson(plan.density, lam, plan.seed, stream=s)
         try:
             return t_vector(config, plan.test_functions, spec)
@@ -348,11 +341,8 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "functional": {
-                "family": self.plan.functional.family,
-                "k": self.plan.functional.k,
-                "alpha": self.plan.functional.alpha,
-            },
+            "functional": {key: getattr(self.plan.functional, key)
+                           for key in ("family", "k", "alpha")},
             "replicates": self.plan.replicates,
             "seed": self.plan.seed,
             "lambda_grid": list(self.plan.lambda_grid),
@@ -363,32 +353,12 @@ class ExperimentReport:
                     "joint_discrepancy": lr.joint_discrepancy,
                     "argmax_node": list(lr.argmax_node),
                     "correlations": [list(row) for row in lr.correlations],
-                    "regions": [
-                        {
-                            "index": rs.index,
-                            "mean": rs.mean,
-                            "se_mean": rs.se_mean,
-                            "var": rs.var,
-                            "se_var": rs.se_var,
-                            "ks": rs.ks,
-                            "scaled_mean": rs.scaled_mean,
-                            "se_scaled_mean": rs.se_scaled_mean,
-                            "scaled_var": rs.scaled_var,
-                            "se_scaled_var": rs.se_scaled_var,
-                            "target_mean": rs.target_mean,
-                            "target_var": rs.target_var,
-                        }
-                        for rs in lr.regions
-                    ],
+                    "regions": [asdict(rs) for rs in lr.regions],
                 }
                 for lr in self.lambda_reports
             ],
             "rate_fit": None if self.rate is None else {
-                "slope": self.rate.slope,
-                "intercept": self.rate.intercept,
-                "r_squared": self.rate.r_squared,
-                "lambdas_used": list(self.rate.lambdas_used),
-            },
+                **asdict(self.rate), "lambdas_used": list(self.rate.lambdas_used)},
             "censored_lambdas": list(self.censored_lambdas),
             "rate_note": self.rate_note,
         }
@@ -432,6 +402,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
         std = standardize(samples, summary)
         corr = np.corrcoef(std, rowvar=False).reshape(m, m)
         joint = product_form_discrepancy(std, plan.t_grid)
+        scaled = {name: getattr(summary, name) for name in
+                  ("scaled_mean", "se_scaled_mean", "scaled_var", "se_scaled_var")}
         regions = []
         for i in range(m):
             tm, tv = _targets(plan, i)
@@ -442,10 +414,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
                 var=float(summary.var[i]),
                 se_var=float(summary.se_var[i]),
                 ks=ks_to_normal(std[:, i]),
-                scaled_mean=None if summary.scaled_mean is None else float(summary.scaled_mean[i]),
-                se_scaled_mean=None if summary.se_scaled_mean is None else float(summary.se_scaled_mean[i]),
-                scaled_var=None if summary.scaled_var is None else float(summary.scaled_var[i]),
-                se_scaled_var=None if summary.se_scaled_var is None else float(summary.se_scaled_var[i]),
+                **{k: None if v is None else float(v[i]) for k, v in scaled.items()},
                 target_mean=tm,
                 target_var=tv,
             ))
@@ -558,7 +527,7 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
     pois = {a: np.empty(replicates) for a in alphas}
     binom = {a: np.empty(replicates) for a in alphas}
     for r in range(replicates):
-        for s in _replicate_streams(r):
+        for s in replicate_streams(r):
             cfg_p = sample_poisson(density, lam, seed, stream=s)
             if len(cfg_p) >= 2:
                 break
@@ -568,7 +537,7 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
                 f"(too few points for nearest-neighbour distances): "
                 f"{len(cfg_p)} points")
         cfg_b = sample_binomial(region, n_points, seed,
-                                stream=_BINOMIAL_STREAM_BASE + r)
+                                stream=BINOMIAL_STREAM_BASE + r)
         # every point lies in the region, so the region sum is the plain sum;
         # the nearest-neighbour gaps are shared across exponents
         d_p = nn_distances(cfg_p.points)

@@ -29,8 +29,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import neighbors
-from .point_process import (DensitySpec, PointConfiguration, generator,
-                            sample_location, sample_poisson_rng)
+from .point_process import (PROBE_STREAM_BASE, DensitySpec,
+                            PointConfiguration, generator, sample_location,
+                            sample_poisson_rng)
 from .regions import Region
 
 __all__ = [
@@ -42,13 +43,11 @@ __all__ = [
     "StabilizationProbeResult",
     "InsufficientPointsError",
     "nn_distance",
-    "knn_neighbors",
     "xi_knn",
     "xi_directed_nn",
     "l_alpha",
     "t_statistic",
     "t_vector",
-    "thresholded_t",
     "stabilization_probe",
     "fit_line",
 ]
@@ -109,12 +108,6 @@ class TestFunctionSpec:
             object.__setattr__(self, "values",
                                tuple(float(v) for v in self.values))
 
-    @property
-    def bound(self) -> float:
-        if self.kind == "indicator":
-            return 1.0
-        return max(abs(v) for v in self.values)
-
     def evaluate(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(pts))
@@ -159,20 +152,6 @@ def nn_distance(x, config: PointConfiguration) -> float:
     return float(np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff))))
 
 
-def knn_neighbors(x, config: PointConfiguration, k: int) -> np.ndarray:
-    """The k nearest points to x (excluding x), ties broken by generation order."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pts = config.points
-    self_mask = np.all(pts == x, axis=1)
-    keep = np.nonzero(~self_mask)[0]
-    if len(keep) < k:
-        raise InsufficientPointsError(f"need at least k={k} other points")
-    diff = pts[keep] - x
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    sel = np.lexsort((keep, dist))[:k]
-    return pts[keep[sel]]
-
-
 def _with_insertion(points: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Append x unless an identical point exists; return (points, index of x)."""
     match = np.nonzero(np.all(points == x, axis=1))[0]
@@ -208,18 +187,6 @@ def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
     return xi
 
 
-def _incident_max_lengths(points: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Longest kNN-graph edge incident to each point (reverse edges included)."""
-    n, k = nbr.shape
-    src = np.repeat(np.arange(n), k)
-    dst = nbr.ravel()
-    length = np.sqrt(np.sum((points[src] - points[dst]) ** 2, axis=1))
-    out = np.zeros(n)
-    np.maximum.at(out, src, length)
-    np.maximum.at(out, dst, length)
-    return out
-
-
 def xi_knn(x, config: PointConfiguration, spec: FunctionalSpec) -> float:
     """Score of x under the undirected kNN family (x inserted if absent)."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -251,14 +218,13 @@ def l_alpha(config: PointConfiguration, gamma: Region, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # scaled region statistics
 
-def _weighted_sums(config: PointConfiguration, fs: list, spec: FunctionalSpec,
-                   threshold: float | None = None) -> np.ndarray:
+def _weighted_sums(config: PointConfiguration, fs: list,
+                   spec: FunctionalSpec) -> np.ndarray:
     """Per test function f, the sum of dilated scores weighted by f.
 
     The configuration is dilated by lambda^(1/d) and scored once for all
     test functions; f is evaluated at the original locations, so only points
-    of f's region contribute.  With ``threshold``, only points whose
-    empirical radius is <= threshold contribute.
+    of f's region contribute.
     """
     pts = config.points
     masks = [f.region.contains(pts) for f in fs]
@@ -271,16 +237,11 @@ def _weighted_sums(config: PointConfiguration, fs: list, spec: FunctionalSpec,
             f"{spec.family} needs at least {spec.min_points} points, got {len(pts)}")
     dilated = pts * spec.lam ** (1.0 / config.dimension)
     if spec.family == DIRECTED_NN:
-        radii = neighbors.nn_distances(dilated, subset=union)
-        scores = radii ** spec.alpha
+        scores = neighbors.nn_distances(dilated, subset=union) ** spec.alpha
     else:
         nbr = neighbors.knn_indices(dilated, spec.k)
         scores = _incident_half_weights(dilated, nbr, spec.alpha)
-        if threshold is not None:
-            radii = _incident_max_lengths(dilated, nbr)
     for i, (f, mask) in enumerate(zip(fs, masks)):
-        if threshold is not None:
-            mask = mask & (radii <= threshold)
         if mask.any():
             # an indicator is 1 on its region: no second membership test
             weights = (np.ones(np.count_nonzero(mask)) if f.kind == "indicator"
@@ -311,18 +272,6 @@ def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> StatVector
             if not fs[i].region.disjoint_from(fs[j].region):
                 raise ValueError(f"test-function regions {i} and {j} overlap")
     return StatVector(values=_weighted_sums(config, fs, spec), lam=spec.lam, spec=spec)
-
-
-def thresholded_t(config: PointConfiguration, f: TestFunctionSpec,
-                  spec: FunctionalSpec, threshold: float) -> float:
-    """t_statistic keeping only points whose empirical radius is <= threshold.
-
-    For the directed family the radius is the dilated nearest-neighbour
-    distance; for the kNN family the longest incident dilated edge.
-    """
-    if not threshold >= 0.0:
-        raise ValueError("threshold must be nonnegative")
-    return float(_weighted_sums(config, [f], spec, threshold)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +321,30 @@ def _xi_at(x: np.ndarray, points: np.ndarray, spec: FunctionalSpec,
     return float(_incident_half_weights(pts, _knn_graph(pts, spec.k), spec.alpha)[idx])
 
 
+_PROBE_REL_TOL = 1e-12  # a score counts as unchanged within this relative gap
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` (linear method), to the last bit.
+
+    One ``np.partition`` at the virtual index (n - 1) q, then numpy's lerp:
+    a + (b - a) t, or b - (b - a)(1 - t) once t >= 0.5.  np.quantile itself
+    imports numpy.ma on first use, partway through a run.
+    """
+    n = len(values)
+    pos = (n - 1) * q
+    lo = int(pos)
+    if lo >= n - 1:
+        return float(values.max())
+    a, b = np.partition(values, (lo, lo + 1))[lo:lo + 2]
+    t = pos - lo
+    diff = b - a
+    return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
+
+
 def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
                         probe_count: int, resample_count: int, seed: int,
-                        evaluator=None, stream_base: int = 1 << 40,
-                        rel_tol: float = 1e-12) -> StabilizationProbeResult:
+                        evaluator=None) -> StabilizationProbeResult:
     """Estimate the stabilization-radius distribution by rerandomization.
 
     For each probe location x (drawn from the density), searches for the
@@ -383,7 +352,8 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
     ``resample_count`` independent redraws of every point outside the ball of
     radius r * lambda^(-1/d) around x.  Searches that hit the dilated region
     diameter without stabilizing are flagged censored and enter the tail
-    estimate as lower bounds.
+    estimate as lower bounds.  Probe i draws everything from stream
+    ``PROBE_STREAM_BASE + i``.
     """
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
@@ -401,7 +371,7 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
     radii = np.empty(probe_count)
     censored = np.zeros(probe_count, dtype=bool)
     for i in range(probe_count):
-        rng = generator(seed, stream_base + i)
+        rng = generator(seed, PROBE_STREAM_BASE + i)
         x = sample_location(density, rng)
         base = sample_poisson_rng(density, lam, rng)
         while len(base) < spec.min_points:
@@ -420,7 +390,7 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
                 if len(mixed) < spec.min_points:
                     return False
                 xi1 = _xi_at(x, mixed, spec, d, evaluator)
-                if abs(xi1 - xi0) > rel_tol * max(1.0, abs(xi0)):
+                if abs(xi1 - xi0) > _PROBE_REL_TOL * max(1.0, abs(xi0)):
                     return False
             return True
 
@@ -444,7 +414,7 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
                 lo_r = mid
         radii[i] = hi_r
 
-    t_grid = np.linspace(0.0, float(np.quantile(radii, 0.999)), 41)
+    t_grid = np.linspace(0.0, _quantile(radii, 0.999), 41)
     tail_probs = np.array([(radii > t).mean() for t in t_grid])
     meta = {"lambda": lam, "probe_count": probe_count,
             "resample_count": resample_count,

@@ -3,7 +3,8 @@
 All samplers are pure functions of (seed, stream): the random stream is a
 counter-based Philox generator keyed by the 64-bit seed and the stream id, so
 distinct streams can be drawn concurrently with no coordination and replaying
-a (seed, stream) pair reproduces the configuration bit for bit.
+a (seed, stream) pair reproduces the configuration bit for bit.  The stream
+map below is the one place that assigns stream ids.
 
 Densities are piecewise constant over the boxes of a region.  A Poisson
 sample draws an independent Poisson count per box with mean
@@ -28,6 +29,10 @@ from .regions import Box, Region
 __all__ = [
     "DensitySpec",
     "PointConfiguration",
+    "RETRY_STREAM_BASE",
+    "BINOMIAL_STREAM_BASE",
+    "PROBE_STREAM_BASE",
+    "replicate_streams",
     "generator",
     "sample_poisson",
     "sample_binomial",
@@ -35,6 +40,22 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# The stream map.  Each use owns a namespace far above any replicate count:
+#   r                        replicate r, at every intensity of a plan (common
+#                            random numbers: the intensities are not independent)
+#   RETRY_STREAM_BASE+4r+a   retry a = 0, 1, 2 of replicate r (too few points)
+#   BINOMIAL_STREAM_BASE+r   the fixed-n draw of replicate r (Poisson vs binomial)
+#   PROBE_STREAM_BASE+i      probe i of the stabilization probe, all its draws
+RETRY_STREAM_BASE = 1 << 32
+BINOMIAL_STREAM_BASE = 1 << 36
+PROBE_STREAM_BASE = 1 << 40
+
+
+def replicate_streams(r: int) -> tuple[int, ...]:
+    """Stream r, then its 3 reserved retry streams."""
+    base = RETRY_STREAM_BASE + 4 * r
+    return (r, base, base + 1, base + 2)
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:

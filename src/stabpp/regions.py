@@ -1,4 +1,4 @@
-"""Axis-aligned box-union geometry: volumes, boundary distances, cube lattices.
+"""Axis-aligned box-union geometry: membership, volumes, cube lattices.
 
 Regions are finite unions of pairwise-disjoint axis-aligned boxes in d-space.
 Membership is half-open ([lower, upper) per axis) so adjacent boxes tile
@@ -7,10 +7,6 @@ collects every unit cube that meets it; the packing collects every unit cube
 contained in the closed union.  Cube counts sandwich the dilated volume:
 
     packing count  <=  lambda * |B|  <=  covering count.
-
-The boundary/interior split cuts a region at l-infinity distance
-s = stab_constant * lambda^(-1/d) * log(lambda) from its topological boundary
-(shared faces of adjacent boxes are interior, not boundary).
 """
 
 from __future__ import annotations
@@ -19,19 +15,15 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Box",
     "Region",
-    "LatticeParams",
     "CubeCover",
     "EmptyCoverError",
-    "volume",
-    "dist_to_boundary",
-    "boundary_split",
     "covering",
     "packing",
 ]
@@ -143,28 +135,6 @@ class Region:
         return not any(_boxes_overlap(a, b) for a in self.boxes for b in other.boxes)
 
 
-def volume(region: Region) -> float:
-    return region.volume
-
-
-@dataclass(frozen=True)
-class LatticeParams:
-    """Intensity plus the boundary-width constant of the interior/boundary split."""
-
-    lam: float
-    stab_constant: float = 1.0
-
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be positive")
-        if not self.stab_constant > 0.0:
-            raise ValueError("stab_constant must be positive")
-
-    def log_lambda_width(self, dimension: int) -> float:
-        """Boundary half-width s = stab_constant * lambda^(-1/d) * log(lambda)."""
-        return self.stab_constant * self.lam ** (-1.0 / dimension) * math.log(self.lam)
-
-
 @dataclass(frozen=True)
 class CubeCover:
     """Integer centers of unit cubes covering or packing a dilated region."""
@@ -175,7 +145,7 @@ class CubeCover:
 
 
 # ---------------------------------------------------------------------------
-# box subtraction: the workhorse for exact complement / containment tests
+# box subtraction: the exact containment test of the packing
 
 def _subtract(piece, cut):
     """Closed box minus closed box, as a list of closed boxes with positive extent."""
@@ -213,103 +183,6 @@ def _covered_by(piece, cuts) -> bool:
         if not pieces:
             return True
     return not pieces
-
-
-def _complement_pieces(region: Region):
-    """Closed boxes whose union is (the closure of) the complement of the
-    region inside a frame inflated well beyond the region."""
-    lo, hi = region.bounding_box()
-    pad = float(np.max(hi - lo)) + 1.0
-    frame = (lo - pad, hi + pad)
-    pieces = [frame]
-    for b in region.boxes:
-        nxt = []
-        for p in pieces:
-            nxt.extend(_subtract(p, b.bounds))
-        pieces = nxt
-    return frame, pieces
-
-
-def _clamp_dist(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, norm: str) -> np.ndarray:
-    """Distance from each point to the closed box [lo, hi]."""
-    excess = np.maximum(np.maximum(lo - points, points - hi), 0.0)
-    if norm == "l2":
-        return np.sqrt(np.sum(excess * excess, axis=1))
-    return np.max(excess, axis=1)
-
-
-def _normalize_norm(norm: str) -> str:
-    key = norm.lower().replace("_", "").replace("-", "")
-    if key in ("linf", "inf", "chebyshev"):
-        return "linf"
-    if key in ("l2", "euclidean", "2"):
-        return "l2"
-    raise ValueError(f"unknown norm {norm!r}; use 'l2' or 'linf'")
-
-
-def dist_to_boundary(x, region: Region, norm: str = "linf") -> float:
-    """Distance from x to the topological boundary of the region union.
-
-    Works from either side: for x inside, this is the distance to the
-    complement; for x outside, the distance to the region closure.  Shared
-    faces of adjacent boxes are interior points of the union and carry
-    positive distance.
-    """
-    return _dist_to_boundary_many(np.atleast_2d(np.asarray(x, dtype=float)),
-                                  region, _normalize_norm(norm))[0]
-
-
-def _dist_to_boundary_many(pts: np.ndarray, region: Region, norm: str,
-                           complement=None) -> np.ndarray:
-    if complement is None:
-        frame, comp = _complement_pieces(region)
-    else:
-        frame, comp = complement
-    d_region = np.full(len(pts), np.inf)
-    for b in region.boxes:
-        d_region = np.minimum(d_region, _clamp_dist(pts, *b.bounds, norm))
-    d_comp = np.full(len(pts), np.inf)
-    for lo, hi in comp:
-        d_comp = np.minimum(d_comp, _clamp_dist(pts, lo, hi, norm))
-    # the true complement extends beyond the frame
-    flo, fhi = frame
-    inside_frame = np.all((pts >= flo) & (pts <= fhi), axis=1)
-    exit_gap = np.min(np.minimum(pts - flo, fhi - pts), axis=1)
-    d_comp = np.minimum(d_comp, np.where(inside_frame, exit_gap, 0.0))
-    return np.maximum(d_region, d_comp)
-
-
-def boundary_split(region: Region, params: LatticeParams
-                   ) -> tuple[Callable, Callable]:
-    """Membership predicates (interior, boundary) for the s-width split.
-
-    A point of the region is boundary when its l-infinity distance to the
-    region boundary is at most s = stab_constant * lambda^(-1/d) * log(lambda),
-    interior otherwise; points outside the region are neither.  Requires
-    lambda > 1 so that s > 0.
-    """
-    if not params.lam > 1.0:
-        raise ValueError("boundary_split requires lambda > 1")
-    s = params.log_lambda_width(region.dimension)
-    complement = _complement_pieces(region)
-
-    def _classify(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        member = region.contains(pts)
-        dist = _dist_to_boundary_many(pts, region, "linf", complement)
-        return member, dist
-
-    def interior(points):
-        member, dist = _classify(points)
-        out = member & (dist > s)
-        return out if np.ndim(points) > 1 else bool(out[0])
-
-    def boundary(points):
-        member, dist = _classify(points)
-        out = member & (dist <= s)
-        return out if np.ndim(points) > 1 else bool(out[0])
-
-    return interior, boundary
 
 
 # ---------------------------------------------------------------------------

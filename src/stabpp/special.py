@@ -2,8 +2,9 @@
 
 For a nearest-neighbour (directed) graph on a point process on the line, with
 edge weights d^alpha, the large-intensity limits of the scaled mean and variance
-have explicit expressions in terms of the Euler Gamma function and the Gauss
-hypergeometric series:
+have explicit expressions in terms of the Euler Gamma function (``math.gamma``;
+every argument here is above 1, since alpha > 0) and the Gauss hypergeometric
+series:
 
     mean coefficient     2^(-alpha) * Gamma(1 + alpha)
     variance constant    v_alpha(alpha)          (binomial / fixed-n case)
@@ -30,14 +31,12 @@ concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ConvergenceError",
     "PoleError",
-    "gamma",
     "gauss_2f1",
     "v_alpha",
     "delta_alpha",
@@ -45,7 +44,6 @@ __all__ = [
     "exp_moment",
     "limiting_mean",
     "limiting_variance",
-    "AsymptoticConstants",
     "ndtr",
 ]
 
@@ -56,44 +54,6 @@ class ConvergenceError(RuntimeError):
 
 class PoleError(ValueError):
     """Hypergeometric series hit a zero Pochhammer factor in the denominator."""
-
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is a few
-# ulp over the range used here (positive reals up to ~30).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def gamma(x: float) -> float:
-    """Euler Gamma function for real x > 0 (Lanczos approximation)."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos argument in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-def _nonpositive_int(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float,
@@ -150,9 +110,9 @@ def v_alpha(alpha: float) -> float:
     For integer a the 2F1 factor terminates and the value is rational.
     """
     a = _check_alpha(alpha)
-    g2a = gamma(1.0 + 2.0 * a)
-    ga = gamma(1.0 + a)
-    g22 = gamma(2.0 + 2.0 * a)
+    g2a = math.gamma(1.0 + 2.0 * a)
+    ga = math.gamma(1.0 + a)
+    g22 = math.gamma(2.0 + 2.0 * a)
     hyp = gauss_2f1(-a, 1.0 + a, 2.0 + a, 1.0 / 3.0)
     return (
         (4.0 ** -a + 2.0 * 3.0 ** (-1.0 - 2.0 * a)) * g2a
@@ -164,7 +124,7 @@ def v_alpha(alpha: float) -> float:
 def delta_alpha(alpha: float) -> float:
     """Signed Poisson-excess coefficient 2^(-a) Gamma(1+a) (1-a); zero at a=1."""
     a = _check_alpha(alpha)
-    return 2.0 ** -a * gamma(1.0 + a) * (1.0 - a)
+    return 2.0 ** -a * math.gamma(1.0 + a) * (1.0 - a)
 
 
 def delta_alpha_sq(alpha: float) -> float:
@@ -182,7 +142,7 @@ def exp_moment(alpha: float) -> float:
     if a == 0.0:
         return 1.0
     a = _check_alpha(a)
-    return 2.0 ** -a * gamma(1.0 + a)
+    return 2.0 ** -a * math.gamma(1.0 + a)
 
 
 def limiting_mean(alpha: float, kappa_integral: float) -> float:
@@ -191,7 +151,7 @@ def limiting_mean(alpha: float, kappa_integral: float) -> float:
     ki = float(kappa_integral)
     if ki < 0.0:
         raise ValueError(f"kappa integral must be >= 0, got {ki}")
-    return 2.0 ** -a * gamma(1.0 + a) * ki
+    return 2.0 ** -a * math.gamma(1.0 + a) * ki
 
 
 def limiting_variance(alpha: float, kappa_integral: float) -> float:
@@ -205,34 +165,6 @@ def limiting_variance(alpha: float, kappa_integral: float) -> float:
         raise ValueError(f"kappa integral must be >= 0, got {ki}")
     d = delta_alpha(alpha) * ki
     return v_alpha(alpha) * ki + d * d
-
-
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """Bundle of the limiting constants for one weight exponent."""
-
-    alpha: float
-    v_alpha: float
-    delta_alpha: float
-    delta_alpha_sq: float
-    limiting_mean_coeff: float
-
-    @classmethod
-    def for_alpha(cls, alpha: float) -> "AsymptoticConstants":
-        a = _check_alpha(alpha)
-        d = delta_alpha(a)
-        return cls(
-            alpha=a,
-            v_alpha=v_alpha(a),
-            delta_alpha=d,
-            delta_alpha_sq=d * d,
-            limiting_mean_coeff=exp_moment(a),
-        )
-
-    def sigma_sq(self, kappa_integral: float) -> float:
-        """Per-region limiting variance for the given density integral."""
-        d = self.delta_alpha * kappa_integral
-        return self.v_alpha * kappa_integral + d * d
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,44 @@ class TestStabProbeCommand:
             probe={"count": 0, "resamples": 2, "lambda": 60.0}))
         assert cli.main(["stab-probe", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("regions", "garbage", "regions"),
+        ("check", {"nonsense": True}, '"nonsense"'),
+        ("lambda_grid", "x", "lambda_grid"),
+        ("replicates", "many", "replicates"),
+    ])
+    def test_plan_keys_are_validated(self, tmp_path, capsys, key, value, named):
+        # stab-probe reads none of these, but a bad one is still a bad config
+        cfg = base_config(probe={"count": 5, "lambda": 60.0})
+        cfg[key] = value
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["stab-probe", "--config", path,
+                         "--out", str(tmp_path / "p")]) == 2
+        assert named in capsys.readouterr().err
+
+
+class TestSharedBlocks:
+    """simulate validates the probe block it does not use, as stab-probe does."""
+
+    @pytest.mark.parametrize("probe, named", [
+        ({"bogus": 1, "count": -3}, '"bogus"'),
+        ({"count": -3, "lambda": 60.0}, "count"),
+        ({"count": 5}, '"lambda"'),
+        ("x", "probe"),
+    ])
+    def test_simulate_rejects_bad_probe(self, tmp_path, capsys, probe, named):
+        path = write_config(tmp_path, base_config(probe=probe, replicates=4))
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "s")]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_simulate_rejects_bad_check(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(check={"se_multiplier": "wide"},
+                                                  replicates=4))
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "s")]) == 2
+        assert "check.se_multiplier" in capsys.readouterr().err
+
 
 class TestRateCommand:
     def test_refit_from_synthetic_report(self, tmp_path, capsys):
@@ -273,7 +311,7 @@ print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
 class TestImportBudget:
     def test_runs_without_scipy_and_imports_nothing_late(self, tmp_path):
         """The CLI runs with scipy blocked, and after ``import stabpp.cli``
-        a simulate loads no further module (a lazy import would land in the
+        a simulate or a probe loads no further module (a lazy import would land in the
         timed part of the run).  A fresh interpreter, so the test suite's own
         imports cannot hide one."""
         plan_1d = write_config(tmp_path, base_config(
@@ -286,9 +324,12 @@ class TestImportBudget:
                         [{"lower": [0.5, 0.0], "upper": [1.0, 1.0]}]],
             "functional": {"family": "knn_undirected", "k": 3, "alpha": 1.0},
             "lambda_grid": [60.0, 120.0], "replicates": 6, "seed": 5}, "d2.json")
+        probe = write_config(tmp_path, base_config(
+            probe={"count": 20, "resamples": 2, "lambda": 60.0}), "probe.json")
         argvs = [["constants", "--alpha", "1", "2"],
                  ["simulate", "--config", plan_1d, "--out", str(tmp_path / "o1")],
-                 ["simulate", "--config", plan_2d, "--out", str(tmp_path / "o2")]]
+                 ["simulate", "--config", plan_2d, "--out", str(tmp_path / "o2")],
+                 ["stab-probe", "--config", probe, "--out", str(tmp_path / "o3")]]
         src = str(Path(stabpp.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-W", "ignore", "-c", _NO_SCIPY_RUN, json.dumps(argvs)],
@@ -296,4 +337,4 @@ class TestImportBudget:
             env={"PYTHONPATH": src, "PATH": ""})
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"codes": [0, 0, 0], "added": []}
+        assert result == {"codes": [0, 0, 0, 0], "added": []}

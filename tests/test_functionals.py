@@ -7,9 +7,9 @@ import pytest
 
 from stabpp import functionals as fn
 from stabpp.neighbors import knn_indices
-from stabpp.point_process import (DensitySpec, PointConfiguration, generator,
-                                  sample_location, sample_poisson,
-                                  sample_poisson_rng)
+from stabpp.point_process import (PROBE_STREAM_BASE, DensitySpec,
+                                  PointConfiguration, generator,
+                                  sample_location, sample_poisson_rng)
 from stabpp.regions import Region
 
 
@@ -30,12 +30,6 @@ class TestElementaryScores:
     def test_nn_distance_needs_other_points(self):
         with pytest.raises(fn.InsufficientPointsError):
             fn.nn_distance([0.0], line_config(0))
-
-    def test_knn_neighbors(self):
-        assert fn.knn_neighbors([0.0], THREE, 2).ravel().tolist() == [1.0, 3.0]
-        assert fn.knn_neighbors([1.0], THREE, 1).ravel().tolist() == [0.0]
-        with pytest.raises(fn.InsufficientPointsError):
-            fn.knn_neighbors([0.0], THREE, 3)
 
     def test_xi_knn_three_point_graph(self):
         spec = fn.FunctionalSpec(family=fn.KNN_UNDIRECTED, k=1, alpha=1.0)
@@ -194,26 +188,6 @@ class TestScaledStatistics:
         assert vec.values[1] == pytest.approx(t_right, rel=1e-12)
 
 
-class TestThresholding:
-    def test_extremes(self):
-        f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
-        for family, k in ((fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 2)):
-            spec = fn.FunctionalSpec(family=family, k=k, alpha=1.0, lam=4.0)
-            assert fn.thresholded_t(THREE, f, spec, np.inf) == fn.t_statistic(THREE, f, spec)
-            assert fn.thresholded_t(THREE, f, spec, 0.0) == 0.0
-
-    def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(33)
-        pts = rng.uniform(size=(100, 1))
-        config = PointConfiguration(dimension=1, points=pts)
-        f = fn.TestFunctionSpec(region=Region.interval(0.0, 1.0))
-        for family, k in ((fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 2)):
-            spec = fn.FunctionalSpec(family=family, k=k, alpha=1.0, lam=100.0)
-            values = [fn.thresholded_t(config, f, spec, t)
-                      for t in np.linspace(0.0, 5.0, 40)]
-            assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-
-
 class TestStabilizationProbe:
     def test_directed_radii_bounded_by_nn_distance(self):
         # replay the probe's stream discipline to recover each probe point and
@@ -226,7 +200,7 @@ class TestStabilizationProbe:
         res = fn.stabilization_probe(density, lam, spec, probe_count=count,
                                      resample_count=3, seed=60)
         for i in range(count):
-            rng = generator(60, (1 << 40) + i)
+            rng = generator(60, PROBE_STREAM_BASE + i)
             x = sample_location(density, rng)
             base = sample_poisson_rng(density, lam, rng)
             nn = lam * np.min(np.abs(base[:, 0] - x[0]))
@@ -248,6 +222,20 @@ class TestStabilizationProbe:
                                      resample_count=2, seed=3,
                                      evaluator=lambda x, points, s: 1.0)
         assert np.all(res.radii == 0.0)
+
+    def test_quantile_equals_numpy(self):
+        # the probe's grid end is np.quantile(radii, 0.999) to the last bit
+        rng = np.random.default_rng(5)
+        inputs = [rng.exponential(size=n) for n in range(1, 400)]
+        inputs += [np.round(rng.exponential(size=n) * 3.0) / 3.0
+                   for n in (2, 7, 100, 999, 1000, 1001, 5000)]  # ties
+        inputs += [np.zeros(n) for n in (1, 2, 1000)]
+        far = rng.uniform(size=2000)
+        far[17] = 1e12
+        inputs.append(far)
+        for values in inputs:
+            for q in (0.999, 0.0, 0.25, 0.5, 0.9, 1.0):
+                assert fn._quantile(values, q) == float(np.quantile(values, q))
 
     def test_rejects_bad_arguments(self):
         density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))

@@ -1,6 +1,4 @@
-"""Geometry: volumes, boundary distances, the split, and the cube lattices."""
-
-import math
+"""Geometry: membership, volumes, and the cube lattices."""
 
 import numpy as np
 import pytest
@@ -15,11 +13,11 @@ def unit_interval():
 
 class TestBoxRegion:
     def test_volumes(self):
-        assert rg.volume(unit_interval()) == 1.0
+        assert unit_interval().volume == 1.0
         square = rg.Region.from_bounds([((0, 0), (1, 1))])
-        assert rg.volume(square) == 1.0
+        assert square.volume == 1.0
         union = rg.Region.from_bounds([((0,), (1,)), ((2,), (3.5,))])
-        assert rg.volume(union) == pytest.approx(2.5)
+        assert union.volume == pytest.approx(2.5)
 
     def test_invalid_box(self):
         with pytest.raises(ValueError):
@@ -31,86 +29,12 @@ class TestBoxRegion:
 
     def test_adjacent_boxes_allowed(self):
         r = rg.Region.from_bounds([((0,), (1,)), ((1,), (2,))])
-        assert rg.volume(r) == 2.0
+        assert r.volume == 2.0
 
     def test_half_open_membership(self):
         r = unit_interval()
         assert r.contains([[0.0]])[0]
         assert not r.contains([[1.0]])[0]
-
-
-class TestDistToBoundary:
-    def test_interval_interior(self):
-        r = unit_interval()
-        assert rg.dist_to_boundary([0.5], r) == pytest.approx(0.5)
-        assert rg.dist_to_boundary([0.1], r) == pytest.approx(0.1)
-
-    def test_square_interior(self):
-        square = rg.Region.from_bounds([((0, 0), (1, 1))])
-        # hand check over the 4 edges: the bottom edge is nearest
-        assert rg.dist_to_boundary([0.5, 0.2], square) == pytest.approx(0.2)
-        assert rg.dist_to_boundary([0.5, 0.2], square, "l2") == pytest.approx(0.2)
-
-    def test_outside_point(self):
-        square = rg.Region.from_bounds([((0, 0), (1, 1))])
-        assert rg.dist_to_boundary([2, 2], square, "l2") == pytest.approx(math.sqrt(2))
-        assert rg.dist_to_boundary([2, 2], square, "linf") == pytest.approx(1.0)
-
-    def test_shared_face_is_interior(self):
-        r = rg.Region.from_bounds([((0,), (1,)), ((1,), (2,))])
-        # the union is (0, 2): the face at 1 carries no boundary
-        assert rg.dist_to_boundary([0.9], r) == pytest.approx(0.9)
-        assert rg.dist_to_boundary([1.0], r) == pytest.approx(1.0)
-
-    def test_on_boundary(self):
-        assert rg.dist_to_boundary([0.0], unit_interval()) == pytest.approx(0.0)
-
-
-class TestBoundarySplit:
-    def test_hand_example(self):
-        # s = 0.1 * e^-1 * log(e) = 0.1/e ~ 0.0368
-        params = rg.LatticeParams(lam=math.e, stab_constant=0.1)
-        interior, boundary = rg.boundary_split(unit_interval(), params)
-        assert boundary([0.02])
-        assert not interior([0.02])
-        assert interior([0.5])
-        assert not boundary([0.5])
-
-    def test_partition_property(self):
-        params = rg.LatticeParams(lam=50.0, stab_constant=0.5)
-        region = rg.Region.from_bounds([((0,), (1,)), ((1.5,), (2.0,))])
-        interior, boundary = rg.boundary_split(region, params)
-        rng = np.random.default_rng(3)
-        xs = rng.uniform(0.0, 2.0, size=(500, 1))
-        member = region.contains(xs)
-        inner = interior(xs)
-        outer = boundary(xs)
-        assert np.all(inner[member] ^ outer[member])
-        assert not np.any(inner[~member] | outer[~member])
-
-    def test_wide_band_covers_everything(self):
-        # s >= half width: every point of the region is boundary
-        params = rg.LatticeParams(lam=math.e, stab_constant=10.0)
-        interior, boundary = rg.boundary_split(unit_interval(), params)
-        xs = np.linspace(0.01, 0.99, 50).reshape(-1, 1)
-        assert np.all(boundary(xs))
-        assert not np.any(interior(xs))
-
-    def test_requires_lambda_above_one(self):
-        with pytest.raises(ValueError):
-            rg.boundary_split(unit_interval(), rg.LatticeParams(lam=1.0))
-
-    @pytest.mark.parametrize("lam,width", [(8.0, 1.0), (50.0, 0.25), (2000.0, 1.0)])
-    def test_interval_boundary_measure(self, lam, width):
-        # boundary measure of an interval is exactly min(2 s, width)
-        region = rg.Region.interval(0.0, width)
-        params = rg.LatticeParams(lam=lam, stab_constant=0.3)
-        s = params.log_lambda_width(1)
-        _, boundary = rg.boundary_split(region, params)
-        n_cells = 200_000
-        xs = (np.arange(n_cells) + 0.5) / n_cells * width
-        measure = boundary(xs.reshape(-1, 1)).mean() * width
-        assert measure == pytest.approx(min(2.0 * s, width), abs=2.0 * width / n_cells)
 
 
 class TestCoveringPacking:

@@ -8,7 +8,7 @@ from .regions import Box, CubeCover, Region, covering, packing
 from .point_process import (DensitySpec, PointConfiguration, sample_binomial,
                             sample_homogeneous_line, sample_poisson)
 from .functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
-                          StatVector, TestFunctionSpec, l_alpha, nn_distance,
+                          TestFunctionSpec, l_alpha, nn_distance,
                           stabilization_probe, t_statistic, t_vector,
                           xi_directed_nn, xi_knn)
 from .experiments import (ExperimentPlan, ExperimentReport, RateFit,
@@ -24,9 +24,9 @@ __all__ = [
     "Box", "CubeCover", "Region", "covering", "packing",
     "DensitySpec", "PointConfiguration", "sample_binomial",
     "sample_homogeneous_line", "sample_poisson",
-    "DIRECTED_NN", "KNN_UNDIRECTED", "FunctionalSpec", "StatVector",
-    "TestFunctionSpec", "l_alpha", "nn_distance", "stabilization_probe",
-    "t_statistic", "t_vector", "xi_directed_nn", "xi_knn",
+    "DIRECTED_NN", "KNN_UNDIRECTED", "FunctionalSpec", "TestFunctionSpec",
+    "l_alpha", "nn_distance", "stabilization_probe", "t_statistic",
+    "t_vector", "xi_directed_nn", "xi_knn",
     "ExperimentPlan", "ExperimentReport", "RateFit",
     "compare_poisson_binomial", "estimate_moments", "fit_rate",
     "ks_to_normal", "product_form_discrepancy", "run_experiment",

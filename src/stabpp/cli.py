@@ -64,23 +64,47 @@ def _require_keys(obj: dict, where: str, required: tuple[str, ...],
 
 def _parse_number(value, where: str, cast=float):
     try:
-        return cast(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from err
+        number = cast(value)
+        if cast is int and number != float(value):
+            raise ValueError("not an integer")
+        return number
+    except (TypeError, ValueError, OverflowError) as err:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}") from err
+
+
+def _parse_numbers(values, where: str) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return tuple(_parse_number(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _build(cls, where: str, **fields):
+    """``cls(**fields)``, its ValueError turned into a ConfigError naming ``where``."""
+    try:
+        return cls(**fields)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _config_seed(config: dict) -> int | None:
+    seed = config.get("seed")
+    return None if seed is None else _parse_number(seed, "seed", int)
 
 
 def _parse_box(obj: dict, where: str, dimension: int) -> Box:
     _require_keys(obj, where, ("lower", "upper"))
-    lo, hi = obj["lower"], obj["upper"]
+    lo = _parse_numbers(obj["lower"], f"{where}.lower")
+    hi = _parse_numbers(obj["upper"], f"{where}.upper")
     if len(lo) != dimension or len(hi) != dimension:
         raise ConfigError(f"{where}: box bounds must have length {dimension}")
-    return Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
+    return _build(Box, where, lower=lo, upper=hi)
 
 
 def _parse_region(boxes: list, where: str, dimension: int) -> Region:
     if not isinstance(boxes, list) or not boxes:
         raise ConfigError(f"{where} must be a nonempty list of boxes")
-    return Region(dimension=dimension,
+    return _build(Region, where, dimension=dimension,
                   boxes=tuple(_parse_box(b, f"{where}[{i}]", dimension)
                               for i, b in enumerate(boxes)))
 
@@ -95,9 +119,9 @@ def _parse_density(obj: dict, dimension: int) -> DensitySpec:
         return DensitySpec.homogeneous(region)
     if "weights" not in obj:
         raise ConfigError('missing required key "weights" in density')
-    weights = tuple(float(w) for w in obj["weights"])
-    return DensitySpec(region=region, weights=weights,
-                       normalized=bool(obj.get("normalized", False)))
+    return _build(DensitySpec, "density.weights", region=region,
+                  weights=_parse_numbers(obj["weights"], "density.weights"),
+                  normalized=bool(obj.get("normalized", False)))
 
 
 def _parse_functional(obj: dict) -> FunctionalSpec:
@@ -106,8 +130,9 @@ def _parse_functional(obj: dict) -> FunctionalSpec:
     if family not in (DIRECTED_NN, KNN_UNDIRECTED):
         raise ConfigError(
             f'functional.family must be "{DIRECTED_NN}" or "{KNN_UNDIRECTED}"')
-    return FunctionalSpec(family=family, k=int(obj.get("k", 1)),
-                          alpha=float(obj.get("alpha", 1.0)))
+    return _build(FunctionalSpec, "functional", family=family,
+                  k=_parse_number(obj.get("k", 1), "functional.k", int),
+                  alpha=_parse_number(obj.get("alpha", 1.0), "functional.alpha"))
 
 
 def _parse_test_function(obj: dict, region: Region, where: str) -> TestFunctionSpec:
@@ -118,8 +143,8 @@ def _parse_test_function(obj: dict, region: Region, where: str) -> TestFunctionS
     if kind == "piecewise":
         if "values" not in obj:
             raise ConfigError(f'missing required key "values" in {where}')
-        return TestFunctionSpec(region=region, kind="piecewise",
-                                values=tuple(float(v) for v in obj["values"]))
+        return _build(TestFunctionSpec, where, region=region, kind="piecewise",
+                      values=_parse_numbers(obj["values"], f"{where}.values"))
     raise ConfigError(f'{where}: kind must be "indicator" or "piecewise"')
 
 
@@ -155,10 +180,7 @@ def _parse_plan_fields(config: dict) -> dict:
         for i, (o, r) in enumerate(zip(tf_cfg, fields["regions"])))
     for key in ("lambda_grid", "t_grid"):
         if key in config:
-            if not isinstance(config[key], list):
-                raise ConfigError(f"{key} must be a list of numbers")
-            fields[key] = tuple(_parse_number(v, f"{key}[{i}]")
-                                for i, v in enumerate(config[key]))
+            fields[key] = _parse_numbers(config[key], key)
     if "replicates" in config:
         fields["replicates"] = _parse_number(config["replicates"], "replicates", int)
     return fields
@@ -186,7 +208,7 @@ def parse_plan(config: dict, seed_override: int | None = None) -> ExperimentPlan
     """Validate a simulate config and build the experiment plan."""
     _require_keys(config, "config", _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
     fields = _parse_plan_fields(config)
-    seed = seed_override if seed_override is not None else int(config.get("seed", 0))
+    seed = _resolve(seed_override, _config_seed(config), None, 0)
     try:
         return ExperimentPlan(seed=seed, **fields)
     except ValueError as err:
@@ -313,7 +335,7 @@ def _cmd_sample(args) -> int:
     density = _parse_plan_fields(config)["density"]
     _parse_probe_and_check(config)
     dimension = density.region.dimension
-    seed = _resolve(args.seed, config.get("seed"), _env("SEED", int), 0)
+    seed = _resolve(args.seed, _config_seed(config), _env("SEED", int), 0)
     lam = args.lam if args.lam is not None else float(config["lambda_grid"][0])
     if args.process == "poisson":
         cfg = sample_poisson(density, lam, seed, stream=0)
@@ -363,7 +385,7 @@ def _run_check(report: ExperimentReport, multiplier: float) -> list[str]:
 def _cmd_simulate(args) -> int:
     started = time.time()
     config = _load_config(args.config)
-    seed = _resolve(args.seed, config.get("seed"), _env("SEED", int), 0)
+    seed = _resolve(args.seed, _config_seed(config), _env("SEED", int), 0)
     workers = _resolve(args.workers, None, _env("WORKERS", int), 1)
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
     plan = parse_plan(config, seed_override=seed)
@@ -399,7 +421,7 @@ def _cmd_stab_probe(args) -> int:
                   _TOP_KEYS_REQUIRED + _TOP_KEYS_OPTIONAL)
     fields = _parse_plan_fields(config)
     probe, _ = _parse_probe_and_check(config)
-    seed = _resolve(args.seed, config.get("seed"), _env("SEED", int), 0)
+    seed = _resolve(args.seed, _config_seed(config), _env("SEED", int), 0)
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
     result = stabilization_probe(
         fields["density"], probe["lambda"], fields["functional"],

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .functionals import (DIRECTED_NN, FunctionalSpec, InsufficientPointsError,
-                          StatVector, TestFunctionSpec, fit_line, t_vector)
+                          TestFunctionSpec, fit_line, t_vector)
 from .neighbors import nn_distances
 from .point_process import (BINOMIAL_STREAM_BASE, DensitySpec,
                             replicate_streams, sample_binomial,
@@ -105,7 +106,7 @@ class ExperimentPlan:
 
 
 def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec,
-                   r: int) -> StatVector:
+                   r: int) -> np.ndarray:
     lam = spec.lam
     last_err = None
     for s in replicate_streams(r):
@@ -119,86 +120,65 @@ def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec,
         f"(too few points for {plan.functional.family}): {last_err}")
 
 
-def _replicate_chunk(args) -> list[np.ndarray]:
+def _replicate_chunk(args) -> np.ndarray:
     plan, spec, indices = args
-    return [_one_replicate(plan, spec, int(r)).values for r in indices]
+    return np.array([_one_replicate(plan, spec, int(r)) for r in indices])
 
 
-def run_replicates(plan: ExperimentPlan, lam: float,
-                   workers: int = 1) -> list[StatVector]:
-    """All replicate statistic vectors for one intensity, in replicate order."""
+def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
+                   workers: int = 1) -> np.ndarray:
+    """The (replicates x regions) statistic matrix at one intensity, in
+    replicate order.
+
+    With a process pool the replicates go to it in 4 * workers contiguous
+    blocks; the matrix does not depend on the pool or the worker count.
+    """
     n = plan.replicates
     spec = plan.functional.with_lambda(lam)
-    if workers <= 1:
-        return [_one_replicate(plan, spec, r) for r in range(n)]
-    chunks = [c for c in np.array_split(np.arange(n), 4 * workers) if len(c)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_replicate_chunk,
-                              [(plan, spec, c) for c in chunks]))
-    values = [v for chunk in parts for v in chunk]
-    return [StatVector(values=v, lam=lam, spec=spec) for v in values]
+    if pool is None:
+        data = np.array([_one_replicate(plan, spec, r) for r in range(n)])
+    else:
+        chunks = [c for c in np.array_split(np.arange(n), 4 * workers) if len(c)]
+        data = np.concatenate(list(pool.map(_replicate_chunk,
+                                            [(plan, spec, c) for c in chunks])))
+    if not np.isfinite(data).all():
+        raise ValueError(f"non-finite statistic at lambda={lam}")
+    return data
 
 
 @dataclass(frozen=True)
 class EstimatorSummary:
-    """Sample moments of the statistic vectors at one intensity."""
+    """Sample moments of the rows of a (samples x components) matrix."""
 
     n: int
-    lam: float
     mean: np.ndarray
     var: np.ndarray            # unbiased
     cov: np.ndarray
     se_mean: np.ndarray
     se_var: np.ndarray         # fourth-central-moment formula
-    scaled_mean: np.ndarray | None = None
-    scaled_var: np.ndarray | None = None
-    se_scaled_mean: np.ndarray | None = None
-    se_scaled_var: np.ndarray | None = None
 
 
-def _as_matrix(samples: Sequence[StatVector]) -> np.ndarray:
-    return np.array([s.values for s in samples])
-
-
-def estimate_moments(samples: Sequence[StatVector],
-                     dimension: int | None = None) -> EstimatorSummary:
-    """Mean vector, unbiased covariance, and standard errors of both.
-
-    For the directed family in one dimension the intensity-scaled mean and
-    variance (mean / lambda and var / lambda, matching the scaled statistic)
-    are filled in as well.
-    """
-    n = len(samples)
+def estimate_moments(data: np.ndarray) -> EstimatorSummary:
+    """Mean vector, unbiased covariance, and standard errors of mean and
+    variance, per column."""
+    n = len(data)
     if n < 2:
         raise ValueError("need at least 2 samples")
-    data = _as_matrix(samples)
     mean = data.mean(axis=0)
     centred = data - mean
     cov = centred.T @ centred / (n - 1)
     var = np.diag(cov).copy()  # shared computation keeps diagonal == variance exact
     m4 = np.mean(centred ** 4, axis=0)
     var_of_var = np.maximum(m4 - var ** 2 * (n - 3) / (n - 1), 0.0) / n
-    se_mean = np.sqrt(var / n)
-    se_var = np.sqrt(var_of_var)
-    lam = samples[0].lam
-    scaled = (samples[0].spec.family == DIRECTED_NN and dimension == 1)
-    return EstimatorSummary(
-        n=n, lam=lam, mean=mean, var=var, cov=cov,
-        se_mean=se_mean, se_var=se_var,
-        scaled_mean=mean / lam if scaled else None,
-        scaled_var=var / lam if scaled else None,
-        se_scaled_mean=se_mean / lam if scaled else None,
-        se_scaled_var=se_var / lam if scaled else None,
-    )
+    return EstimatorSummary(n=n, mean=mean, var=var, cov=cov,
+                            se_mean=np.sqrt(var / n), se_var=np.sqrt(var_of_var))
 
 
-def standardize(samples: Sequence[StatVector],
-                summary: EstimatorSummary) -> np.ndarray:
+def standardize(data: np.ndarray, summary: EstimatorSummary) -> np.ndarray:
     """Componentwise (T - mean) / sqrt(var) using the sample estimates."""
     if np.any(summary.var <= 0.0):
         bad = int(np.argmin(summary.var))
         raise DegenerateComponentError(f"component {bad} has zero sample variance")
-    data = _as_matrix(samples)
     return (data - summary.mean) / np.sqrt(summary.var)
 
 
@@ -389,44 +369,55 @@ def _targets(plan: ExperimentPlan, index: int) -> tuple[float | None, float | No
     return limiting_mean(alpha, integral), limiting_variance(alpha, integral)
 
 
+def _lambda_report(plan: ExperimentPlan, lam: float,
+                   data: np.ndarray) -> LambdaReport:
+    """Moments, normality diagnostics and correlations of one intensity's
+    (replicates x regions) sample matrix."""
+    m = len(plan.regions)
+    # the directed statistic on the line also reports its moments divided
+    # by lambda, the scale of the closed-form targets
+    scaled = (plan.functional.family == DIRECTED_NN
+              and plan.density.region.dimension == 1)
+    summary = estimate_moments(data)
+    std = standardize(data, summary)
+    corr = np.corrcoef(std, rowvar=False).reshape(m, m)
+    joint = product_form_discrepancy(std, plan.t_grid)
+    moments = np.array([summary.mean, summary.se_mean, summary.var, summary.se_var])
+    regions = []
+    for i in range(m):
+        mean, se_mean, var, se_var = moments[:, i].tolist()
+        tm, tv = _targets(plan, i)
+        regions.append(RegionStats(
+            index=i, mean=mean, se_mean=se_mean, var=var, se_var=se_var,
+            ks=ks_to_normal(std[:, i]),
+            **({"scaled_mean": mean / lam, "se_scaled_mean": se_mean / lam,
+                "scaled_var": var / lam, "se_scaled_var": se_var / lam}
+               if scaled else {}),
+            target_mean=tm, target_var=tv,
+        ))
+    return LambdaReport(
+        lam=lam, regions=tuple(regions),
+        joint_discrepancy=joint.sup, argmax_node=joint.argmax_node,
+        correlations=tuple(tuple(float(v) for v in row) for row in corr),
+    )
+
+
 def run_experiment(plan: ExperimentPlan, workers: int = 1,
                    progress=None) -> ExperimentReport:
-    """Run the full lambda grid and assemble the per-intensity reports."""
-    d = plan.density.region.dimension
-    m = len(plan.regions)
-    reports = []
-    discrepancies = []
-    for lam in plan.lambda_grid:
-        samples = run_replicates(plan, lam, workers=workers)
-        summary = estimate_moments(samples, dimension=d)
-        std = standardize(samples, summary)
-        corr = np.corrcoef(std, rowvar=False).reshape(m, m)
-        joint = product_form_discrepancy(std, plan.t_grid)
-        scaled = {name: getattr(summary, name) for name in
-                  ("scaled_mean", "se_scaled_mean", "scaled_var", "se_scaled_var")}
-        regions = []
-        for i in range(m):
-            tm, tv = _targets(plan, i)
-            regions.append(RegionStats(
-                index=i,
-                mean=float(summary.mean[i]),
-                se_mean=float(summary.se_mean[i]),
-                var=float(summary.var[i]),
-                se_var=float(summary.se_var[i]),
-                ks=ks_to_normal(std[:, i]),
-                **{k: None if v is None else float(v[i]) for k, v in scaled.items()},
-                target_mean=tm,
-                target_var=tv,
-            ))
-        reports.append(LambdaReport(
-            lam=lam, regions=tuple(regions),
-            joint_discrepancy=joint.sup, argmax_node=joint.argmax_node,
-            correlations=tuple(tuple(float(v) for v in row) for row in corr),
-        ))
-        discrepancies.append(joint.sup)
-        if progress is not None:
-            progress(lam, reports[-1])
+    """Run the full lambda grid and assemble the per-intensity reports.
 
+    With workers > 1 one process pool serves every intensity of the run.
+    """
+    reports = []
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        for lam in plan.lambda_grid:
+            data = run_replicates(plan, lam, pool=pool, workers=workers)
+            reports.append(_lambda_report(plan, lam, data))
+            if progress is not None:
+                progress(lam, reports[-1])
+
+    discrepancies = [lr.joint_discrepancy for lr in reports]
     floor, keep = above_noise_floor(discrepancies, plan.replicates)
     censored = tuple(plan.lambda_grid[i] for i in range(len(discrepancies))
                      if i not in keep)
@@ -499,16 +490,6 @@ class PoissonBinomialRow:
         return float(np.hypot(self.poisson_se, self.binomial_se))
 
 
-def _scaled_var_rows(values: np.ndarray, scale: float) -> tuple[float, float]:
-    n = len(values)
-    mean = values.mean()
-    centred = values - mean
-    var = np.sum(centred ** 2) / (n - 1)
-    m4 = np.mean(centred ** 4)
-    var_of_var = max(m4 - var ** 2 * (n - 3) / (n - 1), 0.0) / n
-    return float(scale * var), float(scale * np.sqrt(var_of_var))
-
-
 def compare_poisson_binomial(alphas, lam: float, replicates: int,
                              seed: int) -> list[PoissonBinomialRow]:
     """Scaled variances of the region sum under Poisson(lam) and binomial(n=lam).
@@ -524,8 +505,9 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
     region = Region.interval(0.0, 1.0)
     density = DensitySpec.homogeneous(region)
     n_points = int(round(lam))
-    pois = {a: np.empty(replicates) for a in alphas}
-    binom = {a: np.empty(replicates) for a in alphas}
+    k = len(alphas)
+    # columns: the Poisson region sum per exponent, then the binomial ones
+    data = np.empty((replicates, 2 * k))
     for r in range(replicates):
         for s in replicate_streams(r):
             cfg_p = sample_poisson(density, lam, seed, stream=s)
@@ -542,18 +524,20 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
         # the nearest-neighbour gaps are shared across exponents
         d_p = nn_distances(cfg_p.points)
         d_b = nn_distances(cfg_b.points)
-        for a in alphas:
-            pois[a][r] = float(np.sum(d_p ** a))
-            binom[a][r] = float(np.sum(d_b ** a))
+        for j, a in enumerate(alphas):
+            data[r, j] = np.sum(d_p ** a)
+            data[r, k + j] = np.sum(d_b ** a)
+    summary = estimate_moments(data)
     rows = []
-    for a in alphas:
+    for j, a in enumerate(alphas):
         scale = lam ** (2.0 * a - 1.0)
         scale_b = float(n_points) ** (2.0 * a - 1.0)
-        pv, pse = _scaled_var_rows(pois[a], scale)
-        bv, bse = _scaled_var_rows(binom[a], scale_b)
         rows.append(PoissonBinomialRow(
-            alpha=a, poisson_scaled_var=pv, poisson_se=pse,
-            binomial_scaled_var=bv, binomial_se=bse,
+            alpha=a,
+            poisson_scaled_var=float(scale * summary.var[j]),
+            poisson_se=float(scale * summary.se_var[j]),
+            binomial_scaled_var=float(scale_b * summary.var[k + j]),
+            binomial_se=float(scale_b * summary.se_var[k + j]),
             predicted_excess=delta_alpha(a) ** 2,
         ))
     return rows

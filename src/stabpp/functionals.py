@@ -39,7 +39,6 @@ __all__ = [
     "KNN_UNDIRECTED",
     "FunctionalSpec",
     "TestFunctionSpec",
-    "StatVector",
     "StabilizationProbeResult",
     "InsufficientPointsError",
     "nn_distance",
@@ -117,22 +116,6 @@ class TestFunctionSpec:
         for box, v in zip(self.region.boxes, self.values):
             out[box.contains(pts)] = v
         return out
-
-
-@dataclass(frozen=True)
-class StatVector:
-    """Per-region scaled statistics from a single shared configuration."""
-
-    values: np.ndarray  # (m,)
-    lam: float
-    spec: FunctionalSpec
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("statistic vector must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +243,7 @@ def t_statistic(config: PointConfiguration, f: TestFunctionSpec,
     return float(_weighted_sums(config, [f], spec)[0])
 
 
-def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> StatVector:
+def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> np.ndarray:
     """Componentwise t_statistic over test functions with disjoint regions.
 
     The configuration is scored once and the scores are reused for every
@@ -271,7 +254,7 @@ def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> StatVector
         for j in range(i + 1, len(fs)):
             if not fs[i].region.disjoint_from(fs[j].region):
                 raise ValueError(f"test-function regions {i} and {j} overlap")
-    return StatVector(values=_weighted_sums(config, fs, spec), lam=spec.lam, spec=spec)
+    return _weighted_sums(config, fs, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -199,12 +199,9 @@ def sample_homogeneous_line(intensity: float, window: Box,
         raise ValueError("homogeneous line sampling needs a 1-d window")
     if not intensity > 0.0:
         raise ValueError("intensity must be positive")
-    rng = generator(seed, stream)
-    length = window.upper[0] - window.lower[0]
-    n = int(rng.poisson(intensity * length))
-    pts = rng.uniform(window.lower[0], window.upper[0], size=(n, 1))
-    return PointConfiguration(dimension=1, points=pts,
-                              provenance=(int(seed), int(stream)))
+    density = DensitySpec(region=Region(dimension=1, boxes=(window,)),
+                          weights=(intensity,), normalized=False)
+    return sample_poisson(density, 1.0, seed, stream)
 
 
 def sample_location(density: DensitySpec, rng: np.random.Generator) -> np.ndarray:

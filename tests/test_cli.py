@@ -219,6 +219,40 @@ class TestSharedBlocks:
         assert "check.se_multiplier" in capsys.readouterr().err
 
 
+def _box(lower, upper):
+    return {"lower": lower, "upper": upper}
+
+
+class TestBadValues:
+    """A bad value anywhere in the plan is a config error naming its key."""
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"density": {"boxes": [_box(["a"], [1.0])], "weights": [1.0]}},
+         "density.boxes[0].lower[0]"),
+        ({"regions": [[_box([0.5], [0.5])]]}, "regions[0][0]"),
+        ({"density": {"boxes": [_box(0.0, [1.0])], "weights": [1.0]}},
+         "density.boxes[0].lower"),
+        ({"density": {"boxes": [_box([0.0], [1.0])], "weights": ["heavy"]}},
+         "density.weights[0]"),
+        ({"density": {"boxes": [_box([0.0], [1.0])], "weights": [-1.0]}},
+         "density.weights"),
+        ({"test_functions": [{"kind": "piecewise", "values": ["x"]}]},
+         "test_functions[0].values[0]"),
+        ({"seed": 4.5}, "seed"),
+        ({"functional": {"family": "nn_directed", "k": "two"}}, "functional.k"),
+        ({"functional": {"family": "nn_directed", "alpha": -1.0}},
+         "functional: alpha"),
+    ], ids=["bound_not_number", "lower_not_below_upper", "scalar_lower",
+            "weight_not_number", "negative_weight", "value_not_number",
+            "seed_not_integer", "k_not_integer", "alpha_not_positive"])
+    def test_simulate_exits_2_naming_the_key(self, tmp_path, capsys,
+                                             overrides, named):
+        path = write_config(tmp_path, base_config(replicates=4, **overrides))
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "s")]) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestRateCommand:
     def test_refit_from_synthetic_report(self, tmp_path, capsys):
         lams = [100.0, 400.0, 1600.0]

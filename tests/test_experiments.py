@@ -3,13 +3,15 @@
 import json
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import ndtr as scipy_ndtr
 
 from stabpp import experiments as ex
-from stabpp.functionals import DIRECTED_NN, FunctionalSpec, StatVector, TestFunctionSpec
+from stabpp.functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
+                                TestFunctionSpec)
 from stabpp.point_process import DensitySpec, generator
 from stabpp.regions import Region
 from stabpp.special import ndtr, v_alpha
@@ -28,64 +30,58 @@ def small_plan(replicates=50, lambda_grid=(40.0,), seed=1, alpha=1.0):
     )
 
 
-def vectors(values, lam=10.0):
-    spec = FunctionalSpec(family=DIRECTED_NN, alpha=1.0, lam=lam)
-    return [StatVector(values=np.atleast_1d(np.asarray(v, dtype=float)),
-                       lam=lam, spec=spec) for v in values]
+def matrix(values):
+    """One row per sample: scalars become one-column rows."""
+    return np.array([np.atleast_1d(np.asarray(v, dtype=float)) for v in values])
 
 
 class TestEstimators:
     def test_two_point_sample(self):
-        summary = ex.estimate_moments(vectors([0.0, 2.0]))
+        summary = ex.estimate_moments(matrix([0.0, 2.0]))
         assert summary.mean[0] == 1.0
         assert summary.var[0] == 2.0
 
     def test_constant_sample(self):
-        summary = ex.estimate_moments(vectors([3.0, 3.0, 3.0]))
+        summary = ex.estimate_moments(matrix([3.0, 3.0, 3.0]))
         assert summary.var[0] == 0.0
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            ex.estimate_moments(vectors([1.0]))
+            ex.estimate_moments(matrix([1.0]))
 
     def test_gaussian_moments(self):
         rng = np.random.default_rng(0)
         draws = rng.standard_normal(100_000)
-        summary = ex.estimate_moments(vectors(draws))
+        summary = ex.estimate_moments(matrix(draws))
         assert abs(summary.mean[0]) <= 0.01
         assert abs(summary.var[0] - 1.0) <= 0.02
 
     def test_covariance_psd_and_diagonal(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((500, 3)) @ np.diag([1.0, 2.0, 0.5])
-        summary = ex.estimate_moments(vectors(list(data)))
+        summary = ex.estimate_moments(matrix(list(data)))
         assert np.array_equal(np.diag(summary.cov), summary.var)
         assert np.min(np.linalg.eigvalsh(summary.cov)) >= -1e-9
-
-    def test_scaled_fields_for_directed_1d(self):
-        summary = ex.estimate_moments(vectors([0.0, 2.0], lam=10.0), dimension=1)
-        assert summary.scaled_mean[0] == pytest.approx(0.1)
-        assert summary.scaled_var[0] == pytest.approx(0.2)
 
 
 class TestStandardize:
     def test_identities(self):
         rng = np.random.default_rng(5)
-        samples = vectors(rng.uniform(size=200))
+        samples = matrix(rng.uniform(size=200))
         summary = ex.estimate_moments(samples)
         std = ex.standardize(samples, summary)
         assert abs(std.mean()) <= 1e-12
         assert abs(std.var(ddof=1) - 1.0) <= 1e-12
 
     def test_single_value_position(self):
-        samples = vectors([0.0, 2.0])
+        samples = matrix([0.0, 2.0])
         summary = ex.estimate_moments(samples)
         std = ex.standardize(samples, summary)
         # mean 1, sd sqrt(2): the sample at mean + sd standardizes to 1
         assert std[1, 0] == pytest.approx((2.0 - 1.0) / np.sqrt(2.0))
 
     def test_degenerate_component(self):
-        samples = vectors([1.0, 1.0, 1.0])
+        samples = matrix([1.0, 1.0, 1.0])
         summary = ex.estimate_moments(samples)
         with pytest.raises(ex.DegenerateComponentError):
             ex.standardize(samples, summary)
@@ -225,15 +221,15 @@ class TestRunReplicates:
         plan = small_plan()
         a = ex.run_replicates(plan, 40.0)
         b = ex.run_replicates(plan, 40.0)
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
-        assert len(a) == plan.replicates
+        assert np.array_equal(a, b)
+        assert a.shape == (plan.replicates, 1)
 
     def test_worker_count_does_not_change_results(self):
         plan = small_plan(replicates=64)
-        serial = ex.run_replicates(plan, 40.0, workers=1)
-        parallel = ex.run_replicates(plan, 40.0, workers=2)
-        assert all(np.array_equal(x.values, y.values)
-                   for x, y in zip(serial, parallel))
+        serial = ex.run_replicates(plan, 40.0)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            parallel = ex.run_replicates(plan, 40.0, pool=pool, workers=2)
+        assert np.array_equal(serial, parallel)
 
     def test_zero_test_function_gives_zero_vectors(self):
         region = Region.interval(0.0, 1.0)
@@ -248,7 +244,7 @@ class TestRunReplicates:
             seed=0,
         )
         for vec in ex.run_replicates(plan, 30.0):
-            assert vec.values.tolist() == [0.0]
+            assert vec.tolist() == [0.0]
 
     def test_retry_exhaustion_aborts_with_diagnostic(self):
         # a 5-NN functional at mean 2 points per draw cannot be evaluated:
@@ -266,6 +262,23 @@ class TestRunReplicates:
         with pytest.raises(RuntimeError, match="retries"):
             ex.run_replicates(plan, 2.0)
 
+    def test_non_finite_statistic_rejected(self):
+        # gaps near 100 raised to the power 200 overflow to inf
+        region = Region.interval(0.0, 1000.0)
+        plan = ex.ExperimentPlan(
+            density=DensitySpec(region=region, weights=(0.01,), normalized=False),
+            regions=(region,),
+            test_functions=(TestFunctionSpec(region=region),),
+            functional=FunctionalSpec(family=DIRECTED_NN, alpha=200.0),
+            lambda_grid=(1.0,),
+            replicates=4,
+            seed=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite"):
+                ex.run_replicates(plan, 1.0)
+
     @pytest.mark.parametrize("lam", [5.0, 50.0, 500.0])
     def test_1d_directed_equals_plain_reference(self, lam):
         # two regions over a two-box density, so points outside both regions
@@ -282,7 +295,7 @@ class TestRunReplicates:
             lambda_grid=(lam,), replicates=40, seed=3)
         got = ex.run_replicates(plan, lam)
         for r, vec in enumerate(got):
-            assert np.array_equal(vec.values,
+            assert np.array_equal(vec,
                                   plain_directed_replicate(plan, lam, r))
 
     def test_plan_validation(self):
@@ -331,6 +344,55 @@ class TestPipeline:
         payload = rep.to_dict()
         json.dumps(payload)
         assert payload["per_lambda"][0]["regions"][0]["target_mean"] == pytest.approx(0.5)
+
+    def test_scaled_fields_only_for_directed_1d(self):
+        # directed on the line: every scaled field is its moment / lambda,
+        # bit for bit, at every intensity
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = ex.run_experiment(small_plan(replicates=30,
+                                               lambda_grid=(40.0, 80.0)))
+        for lr in rep.lambda_reports:
+            for rs in lr.regions:
+                assert rs.scaled_mean == rs.mean / lr.lam
+                assert rs.se_scaled_mean == rs.se_mean / lr.lam
+                assert rs.scaled_var == rs.var / lr.lam
+                assert rs.se_scaled_var == rs.se_var / lr.lam
+        # kNN in the plane: no scaled field at any intensity
+        square = Region.from_bounds([((0.0, 0.0), (1.0, 1.0))])
+        halves = (Region.from_bounds([((0.0, 0.0), (0.5, 1.0))]),
+                  Region.from_bounds([((0.5, 0.0), (1.0, 1.0))]))
+        plan = ex.ExperimentPlan(
+            density=DensitySpec.homogeneous(square), regions=halves,
+            test_functions=tuple(TestFunctionSpec(region=r) for r in halves),
+            functional=FunctionalSpec(family=KNN_UNDIRECTED, k=3, alpha=1.0),
+            lambda_grid=(60.0, 120.0), replicates=6, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = ex.run_experiment(plan)
+        for lr in rep.lambda_reports:
+            for rs in lr.regions:
+                assert (rs.scaled_mean, rs.se_scaled_mean, rs.scaled_var,
+                        rs.se_scaled_var) == (None, None, None, None)
+
+    def test_one_pool_per_run(self, monkeypatch):
+        starts = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        plan = small_plan(replicates=24, lambda_grid=(40.0, 80.0, 160.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            serial = ex.run_experiment(plan)
+            assert starts == []
+            monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+            pooled = ex.run_experiment(plan, workers=2)
+        assert starts == [2]
+        assert (json.dumps(pooled.to_dict(), sort_keys=True)
+                == json.dumps(serial.to_dict(), sort_keys=True))
 
     def test_binomial_variance_matches_formula_constant(self):
         # Monte Carlo route to the same constant the closed form produces

@@ -139,7 +139,7 @@ class TestScaledStatistics:
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
         vec = fn.t_vector(THREE, [f], spec)
-        assert vec.values.tolist() == [fn.t_statistic(THREE, f, spec)]
+        assert vec.tolist() == [fn.t_statistic(THREE, f, spec)]
 
     @pytest.mark.parametrize("family,k", [(fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 3)])
     def test_t_vector_matches_per_region_statistics(self, family, k):
@@ -152,7 +152,7 @@ class TestScaledStatistics:
               fn.TestFunctionSpec(region=Region.from_bounds([((5.0, 5.0), (6.0, 6.0))]))]
         spec = fn.FunctionalSpec(family=family, k=k, alpha=1.5, lam=300.0)
         expected = [fn.t_statistic(config, f, spec) for f in fs]
-        assert fn.t_vector(config, fs, spec).values.tolist() == expected
+        assert fn.t_vector(config, fs, spec).tolist() == expected
         assert expected[0] > 0.0 and expected[1] < 0.0 and expected[2] == 0.0
 
     def test_t_vector_empty_config_is_zero(self):
@@ -160,7 +160,7 @@ class TestScaledStatistics:
         fs = [fn.TestFunctionSpec(region=Region.interval(0.0, 1.0)),
               fn.TestFunctionSpec(region=Region.interval(2.0, 3.0))]
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
-        assert fn.t_vector(empty, fs, spec).values.tolist() == [0.0, 0.0]
+        assert fn.t_vector(empty, fs, spec).tolist() == [0.0, 0.0]
 
     def test_t_vector_rejects_overlap(self):
         fs = [fn.TestFunctionSpec(region=Region.interval(0.0, 2.0)),
@@ -184,8 +184,8 @@ class TestScaledStatistics:
                                 fs[0], spec)
         t_right = fn.t_statistic(PointConfiguration(dimension=1, points=right),
                                  fs[1], spec)
-        assert vec.values[0] == pytest.approx(t_left, rel=1e-12)
-        assert vec.values[1] == pytest.approx(t_right, rel=1e-12)
+        assert vec[0] == pytest.approx(t_left, rel=1e-12)
+        assert vec[1] == pytest.approx(t_right, rel=1e-12)
 
 
 class TestStabilizationProbe:

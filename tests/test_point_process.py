@@ -175,6 +175,23 @@ class TestHomogeneousLine:
         mean = np.concatenate(gaps).mean()
         assert abs(mean - 0.5) / 0.5 < 0.02
 
+    def test_equals_inline_formula(self):
+        # the formula this sampler used before it became a one-box
+        # sample_poisson: a Poisson count, then Generator.uniform
+        windows = [Box((0.0,), (1.0,)), Box((-3.5,), (2.25,)),
+                   Box((1e-3,), (2e-3,)), Box((7.0,), (7.5,))]
+        for window in windows:
+            lo, hi = window.lower[0], window.upper[0]
+            for intensity in (0.5, 1.0, 7.3, 2000.0):
+                for s in range(20):
+                    rng = pp.generator(9, s)
+                    n = int(rng.poisson(intensity * (hi - lo)))
+                    expected = rng.uniform(lo, hi, size=(n, 1))
+                    got = pp.sample_homogeneous_line(intensity, window, seed=9,
+                                                     stream=s)
+                    assert np.array_equal(got.points, expected)
+                    assert got.provenance == (9, s)
+
     def test_requires_1d(self):
         with pytest.raises(ValueError):
             pp.sample_homogeneous_line(1.0, Box((0, 0), (1, 1)), seed=0)

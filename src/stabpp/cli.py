@@ -164,8 +164,8 @@ def _parse_plan_fields(config: dict) -> dict:
     if dimension < 1:
         raise ConfigError("dimension must be >= 1")
     regions = config.get("regions", [])
-    if not isinstance(regions, list):
-        raise ConfigError("regions must be a list of regions")
+    if not isinstance(regions, list) or ("regions" in config and not regions):
+        raise ConfigError("regions must be a nonempty list of regions")
     fields = {
         "density": _parse_density(config["density"], dimension),
         "functional": _parse_functional(config["functional"]),
@@ -181,6 +181,8 @@ def _parse_plan_fields(config: dict) -> dict:
     for key in ("lambda_grid", "t_grid"):
         if key in config:
             fields[key] = _parse_numbers(config[key], key)
+            if not fields[key]:
+                raise ConfigError(f"{key} must be a nonempty list of numbers")
     if "replicates" in config:
         fields["replicates"] = _parse_number(config["replicates"], "replicates", int)
     return fields

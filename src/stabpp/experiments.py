@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import point_process
 from .functionals import (DIRECTED_NN, FunctionalSpec, InsufficientPointsError,
                           TestFunctionSpec, fit_line, t_vector)
 from .neighbors import nn_distances
@@ -92,6 +93,9 @@ class ExperimentPlan:
         object.__setattr__(self, "lambda_grid",
                            tuple(float(v) for v in self.lambda_grid))
         object.__setattr__(self, "t_grid", tuple(float(v) for v in self.t_grid))
+        for name in ("regions", "lambda_grid", "t_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         if len(self.test_functions) != len(self.regions):
             raise ValueError("need one test function per region")
         for i in range(len(self.regions)):
@@ -105,12 +109,12 @@ class ExperimentPlan:
             raise ValueError("lambda grid must be strictly increasing")
 
 
-def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec,
-                   r: int) -> np.ndarray:
+def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec, r: int,
+                   rng: np.random.Generator) -> np.ndarray:
     lam = spec.lam
     last_err = None
     for s in replicate_streams(r):
-        config = sample_poisson(plan.density, lam, plan.seed, stream=s)
+        config = sample_poisson(plan.density, lam, plan.seed, stream=s, rng=rng)
         try:
             return t_vector(config, plan.test_functions, spec)
         except InsufficientPointsError as err:
@@ -121,8 +125,15 @@ def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec,
 
 
 def _replicate_chunk(args) -> np.ndarray:
+    """The statistic rows of one block of replicates.
+
+    The block draws every stream from one Philox generator, re-keyed per
+    stream; it is built through ``point_process.generator``, the one name
+    that constructs generators.
+    """
     plan, spec, indices = args
-    return np.array([_one_replicate(plan, spec, int(r)) for r in indices])
+    rng = point_process.generator(plan.seed, 0)
+    return np.array([_one_replicate(plan, spec, int(r), rng) for r in indices])
 
 
 def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
@@ -130,13 +141,14 @@ def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
     """The (replicates x regions) statistic matrix at one intensity, in
     replicate order.
 
-    With a process pool the replicates go to it in 4 * workers contiguous
-    blocks; the matrix does not depend on the pool or the worker count.
+    Serially all replicates form one block; with a process pool they go to
+    it in 4 * workers contiguous blocks.  The matrix does not depend on the
+    pool or the worker count.
     """
     n = plan.replicates
     spec = plan.functional.with_lambda(lam)
     if pool is None:
-        data = np.array([_one_replicate(plan, spec, r) for r in range(n)])
+        data = _replicate_chunk((plan, spec, range(n)))
     else:
         chunks = [c for c in np.array_split(np.arange(n), 4 * workers) if len(c)]
         data = np.concatenate(list(pool.map(_replicate_chunk,
@@ -508,9 +520,10 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
     k = len(alphas)
     # columns: the Poisson region sum per exponent, then the binomial ones
     data = np.empty((replicates, 2 * k))
+    rng = point_process.generator(seed, 0)  # re-keyed for every draw
     for r in range(replicates):
         for s in replicate_streams(r):
-            cfg_p = sample_poisson(density, lam, seed, stream=s)
+            cfg_p = sample_poisson(density, lam, seed, stream=s, rng=rng)
             if len(cfg_p) >= 2:
                 break
         else:
@@ -519,7 +532,7 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
                 f"(too few points for nearest-neighbour distances): "
                 f"{len(cfg_p)} points")
         cfg_b = sample_binomial(region, n_points, seed,
-                                stream=BINOMIAL_STREAM_BASE + r)
+                                stream=BINOMIAL_STREAM_BASE + r, rng=rng)
         # every point lies in the region, so the region sum is the plain sum;
         # the nearest-neighbour gaps are shared across exponents
         d_p = nn_distances(cfg_p.points)

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import neighbors
 from .point_process import (PROBE_STREAM_BASE, DensitySpec,
-                            PointConfiguration, generator, sample_location,
-                            sample_poisson_rng)
+                            PointConfiguration, generator, rekey,
+                            sample_location, sample_poisson_rng)
 from .regions import Region
 
 __all__ = [
@@ -212,7 +212,7 @@ def _weighted_sums(config: PointConfiguration, fs: list,
     pts = config.points
     masks = [f.region.contains(pts) for f in fs]
     out = np.zeros(len(fs))
-    union = np.logical_or.reduce(masks)
+    union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
     if not union.any():
         return out
     if len(pts) < spec.min_points:
@@ -220,7 +220,8 @@ def _weighted_sums(config: PointConfiguration, fs: list,
             f"{spec.family} needs at least {spec.min_points} points, got {len(pts)}")
     dilated = pts * spec.lam ** (1.0 / config.dimension)
     if spec.family == DIRECTED_NN:
-        scores = neighbors.nn_distances(dilated, subset=union) ** spec.alpha
+        scores = neighbors.nn_distances(dilated, subset=union)
+        scores **= spec.alpha
     else:
         nbr = neighbors.knn_indices(dilated, spec.k)
         scores = _incident_half_weights(dilated, nbr, spec.alpha)
@@ -353,8 +354,9 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
 
     radii = np.empty(probe_count)
     censored = np.zeros(probe_count, dtype=bool)
+    rng = generator(seed, PROBE_STREAM_BASE)
     for i in range(probe_count):
-        rng = generator(seed, PROBE_STREAM_BASE + i)
+        rekey(rng, seed, PROBE_STREAM_BASE + i)
         x = sample_location(density, rng)
         base = sample_poisson_rng(density, lam, rng)
         while len(base) < spec.min_points:

@@ -161,7 +161,8 @@ def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.nda
     if d == 1:
         x = pts[:, 0]
         order = np.argsort(x)
-        gaps = np.diff(x[order])
+        xs = x[order]
+        gaps = xs[1:] - xs[:-1]
         nn_sorted = np.empty(n)
         nn_sorted[0], nn_sorted[-1] = gaps[0], gaps[-1]
         np.minimum(gaps[:-1], gaps[1:], out=nn_sorted[1:-1])

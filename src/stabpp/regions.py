@@ -73,6 +73,9 @@ class Box:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Half-open membership test for an (n, d) array (or a single point)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if len(self.lower) == 1:
+            x = pts[:, 0]
+            return (x >= self.lower[0]) & (x < self.upper[0])
         lo, hi = self.bounds
         return np.all((pts >= lo) & (pts < hi), axis=1)
 
@@ -119,6 +122,8 @@ class Region:
         return sum(b.volume for b in self.boxes)
 
     def contains(self, points) -> np.ndarray:
+        if len(self.boxes) == 1:
+            return self.boxes[0].contains(points)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         first, *rest = self.boxes
         mask = first.contains(pts)

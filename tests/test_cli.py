@@ -253,6 +253,22 @@ class TestBadValues:
         assert named in capsys.readouterr().err
 
 
+class TestEmptyLists:
+    """An empty plan list is a config error naming its key, in every command
+    that reads the config, before any replicate runs."""
+
+    @pytest.mark.parametrize("command", ["simulate", "sample", "stab-probe"])
+    @pytest.mark.parametrize("key", ["regions", "lambda_grid", "t_grid"])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key):
+        cfg = base_config(probe={"count": 5, "lambda": 60.0})
+        cfg[key] = []
+        path = write_config(tmp_path, cfg)
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class TestRateCommand:
     def test_refit_from_synthetic_report(self, tmp_path, capsys):
         lams = [100.0, 400.0, 1600.0]

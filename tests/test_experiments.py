@@ -11,8 +11,10 @@ from scipy.special import ndtr as scipy_ndtr
 
 from stabpp import experiments as ex
 from stabpp.functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
-                                TestFunctionSpec)
-from stabpp.point_process import DensitySpec, generator
+                                InsufficientPointsError, TestFunctionSpec,
+                                t_vector)
+from stabpp.point_process import (DensitySpec, generator, replicate_streams,
+                                  sample_poisson)
 from stabpp.regions import Region
 from stabpp.special import ndtr, v_alpha
 
@@ -298,6 +300,32 @@ class TestRunReplicates:
             assert np.array_equal(vec,
                                   plain_directed_replicate(plan, lam, r))
 
+    def test_knn_rows_equal_new_generator_draws(self):
+        # kNN in the plane at a small intensity: many draws have fewer than
+        # k+1 points and retry.  Each row must equal t_vector on the draw of
+        # a new generator for the same stream, retries included.
+        square = Region.from_bounds([((0.0, 0.0), (1.0, 1.0))])
+        halves = (Region.from_bounds([((0.0, 0.0), (0.5, 1.0))]),
+                  Region.from_bounds([((0.5, 0.0), (1.0, 1.0))]))
+        plan = ex.ExperimentPlan(
+            density=DensitySpec.homogeneous(square), regions=halves,
+            test_functions=tuple(TestFunctionSpec(region=r) for r in halves),
+            functional=FunctionalSpec(family=KNN_UNDIRECTED, k=3, alpha=1.5),
+            lambda_grid=(6.0,), replicates=40, seed=2)
+        spec = plan.functional.with_lambda(6.0)
+        got = ex.run_replicates(plan, 6.0)
+        retries = 0
+        for r, row in enumerate(got):
+            for s in replicate_streams(r):
+                config = sample_poisson(plan.density, 6.0, plan.seed, stream=s)
+                try:
+                    want = t_vector(config, plan.test_functions, spec)
+                    break
+                except InsufficientPointsError:
+                    retries += 1
+            assert np.array_equal(row, want)
+        assert retries >= 3
+
     def test_plan_validation(self):
         region = Region.interval(0.0, 1.0)
         with pytest.raises(ValueError):
@@ -320,6 +348,17 @@ class TestRunReplicates:
                 replicates=5,
                 seed=0,
             )
+        for name in ("regions", "lambda_grid", "t_grid"):
+            fields = dict(density=DensitySpec.homogeneous(region),
+                          regions=(region,),
+                          test_functions=(TestFunctionSpec(region=region),),
+                          functional=FunctionalSpec(family=DIRECTED_NN),
+                          lambda_grid=(10.0,), replicates=5, seed=0)
+            fields[name] = ()
+            if name == "regions":
+                fields["test_functions"] = ()
+            with pytest.raises(ValueError, match=name):
+                ex.ExperimentPlan(**fields)
 
 
 class TestPipeline:

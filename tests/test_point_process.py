@@ -76,6 +76,65 @@ class TestDeterminism:
             assert np.array_equal(got.points, np.concatenate(parts))
 
 
+# streams at the edges of each namespace of the stream map
+REKEY_STREAMS = sorted(
+    {0, 5, 2 ** 33, 2 ** 40 + 3}
+    | {s for r in (0, 1, 7, 999) for s in pp.replicate_streams(r)}
+    | {pp.BINOMIAL_STREAM_BASE + r for r in (0, 1, 999)})
+
+
+def used_generators():
+    """Generators left in states a re-key must fully overwrite."""
+    half = pp.generator(3, 11)
+    half.integers(0, 1 << 32, dtype=np.uint32)  # caches the other 32 bits
+    state = half.bit_generator.state
+    assert state["has_uint32"] == 1
+    mid = pp.generator(4, 12)
+    mid.random(5)  # one full 4-word buffer, then one word of the next
+    state = mid.bit_generator.state
+    assert 0 < state["buffer_pos"] < 4 and state["state"]["counter"][0] > 0
+    return {"has_uint32": half, "mid_buffer": mid}
+
+
+class TestRekey:
+    """A re-keyed Philox yields exactly the stream of a new generator."""
+
+    @pytest.mark.parametrize("start", ["has_uint32", "mid_buffer"])
+    def test_equals_new_generator(self, start):
+        rng = used_generators()[start]
+        for stream in REKEY_STREAMS:
+            fresh = pp.generator(21, stream)
+            again = pp.rekey(rng, 21, stream)
+            assert again is rng
+            assert np.array_equal(again.poisson(300.0), fresh.poisson(300.0))
+            assert np.array_equal(again.random((7, 2)), fresh.random((7, 2)))
+            assert np.array_equal(again.integers(0, 1 << 32, 3, dtype=np.uint32),
+                                  fresh.integers(0, 1 << 32, 3, dtype=np.uint32))
+            # leave the generator mid-buffer with a cached half-word for the
+            # next stream
+            rng.random(1)
+            rng.integers(0, 1 << 32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("start", ["has_uint32", "mid_buffer"])
+    def test_samplers_draw_the_same_configuration(self, start):
+        rng = used_generators()[start]
+        region = Region.from_bounds([((0.0, 0.0), (1.0, 1.0)),
+                                     ((1.0, 0.0), (3.0, 0.5))])
+        dens = pp.DensitySpec(region=region, weights=(2.0, 0.7), normalized=False)
+        for stream in REKEY_STREAMS:
+            got = pp.sample_poisson(dens, 40.0, seed=8, stream=stream, rng=rng)
+            want = pp.sample_poisson(dens, 40.0, seed=8, stream=stream)
+            assert np.array_equal(got.points, want.points)
+            assert got.provenance == want.provenance == (8, stream)
+            got = pp.sample_binomial(region, 25, seed=8, stream=stream, rng=rng)
+            want = pp.sample_binomial(region, 25, seed=8, stream=stream)
+            assert np.array_equal(got.points, want.points)
+
+    def test_negative_stream_rejected(self):
+        with pytest.raises(ValueError):
+            pp.rekey(pp.generator(0, 0), 0, -1)
+
+
 class TestPoissonLaw:
     def test_zero_weight_box_stays_empty(self):
         region = Region.from_bounds([((0,), (1,)), ((2,), (3,))])

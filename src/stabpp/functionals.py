@@ -30,8 +30,8 @@ import numpy as np
 
 from . import neighbors
 from .point_process import (PROBE_STREAM_BASE, DensitySpec,
-                            PointConfiguration, generator, rekey,
-                            sample_location, sample_poisson_rng)
+                            PointConfiguration, generator, sample_location,
+                            sample_poisson_rng)
 from .regions import Region
 
 __all__ = [
@@ -212,7 +212,9 @@ def _weighted_sums(config: PointConfiguration, fs: list,
     pts = config.points
     masks = [f.region.contains(pts) for f in fs]
     out = np.zeros(len(fs))
-    union = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
+    union = masks[0]
+    for m in masks[1:]:
+        union = union | m
     if not union.any():
         return out
     if len(pts) < spec.min_points:
@@ -354,9 +356,8 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
 
     radii = np.empty(probe_count)
     censored = np.zeros(probe_count, dtype=bool)
-    rng = generator(seed, PROBE_STREAM_BASE)
     for i in range(probe_count):
-        rekey(rng, seed, PROBE_STREAM_BASE + i)
+        rng = generator(seed, PROBE_STREAM_BASE + i)
         x = sample_location(density, rng)
         base = sample_poisson_rng(density, lam, rng)
         while len(base) < spec.min_points:

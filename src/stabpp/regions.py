@@ -122,13 +122,10 @@ class Region:
         return sum(b.volume for b in self.boxes)
 
     def contains(self, points) -> np.ndarray:
-        if len(self.boxes) == 1:
-            return self.boxes[0].contains(points)
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         first, *rest = self.boxes
-        mask = first.contains(pts)
+        mask = first.contains(points)
         for b in rest:
-            mask |= b.contains(pts)
+            mask |= b.contains(points)
         return mask
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:

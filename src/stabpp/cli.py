@@ -87,9 +87,11 @@ def _build(cls, where: str, **fields):
         raise ConfigError(f"{where}: {err}") from err
 
 
-def _config_seed(config: dict) -> int | None:
+def _seed(config: dict, flag: int | None) -> int:
+    """The run seed: the flag, else the config's "seed", else STABPP_SEED, else 0."""
     seed = config.get("seed")
-    return None if seed is None else _parse_number(seed, "seed", int)
+    seed = None if seed is None else _parse_number(seed, "seed", int)
+    return _resolve(flag, seed, _env("SEED", int), 0)
 
 
 def _parse_box(obj: dict, where: str, dimension: int) -> Box:
@@ -116,7 +118,7 @@ def _parse_density(obj: dict, dimension: int) -> DensitySpec:
     if obj.get("homogeneous", False):
         if "weights" in obj:
             raise ConfigError('density: "homogeneous" and "weights" conflict')
-        return DensitySpec.homogeneous(region)
+        return _build(DensitySpec.homogeneous, "density", region=region)
     if "weights" not in obj:
         raise ConfigError('missing required key "weights" in density')
     return _build(DensitySpec, "density.weights", region=region,
@@ -207,12 +209,13 @@ def _parse_probe_and_check(config: dict) -> tuple[dict | None, float]:
 
 
 def parse_plan(config: dict, seed_override: int | None = None) -> ExperimentPlan:
-    """Validate a simulate config and build the experiment plan."""
+    """Validate a plan config and build the experiment plan, with every plan
+    rule applied; the seed is the override, else the config's, else
+    STABPP_SEED, else 0."""
     _require_keys(config, "config", _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
     fields = _parse_plan_fields(config)
-    seed = _resolve(seed_override, _config_seed(config), None, 0)
     try:
-        return ExperimentPlan(seed=seed, **fields)
+        return ExperimentPlan(seed=_seed(config, seed_override), **fields)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -333,12 +336,11 @@ def _cmd_constants(args) -> int:
 
 def _cmd_sample(args) -> int:
     config = _load_config(args.config)
-    _require_keys(config, "config", _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
-    density = _parse_plan_fields(config)["density"]
+    plan = parse_plan(config, seed_override=args.seed)
     _parse_probe_and_check(config)
+    density, seed = plan.density, plan.seed
     dimension = density.region.dimension
-    seed = _resolve(args.seed, _config_seed(config), _env("SEED", int), 0)
-    lam = args.lam if args.lam is not None else float(config["lambda_grid"][0])
+    lam = args.lam if args.lam is not None else plan.lambda_grid[0]
     if args.process == "poisson":
         cfg = sample_poisson(density, lam, seed, stream=0)
     elif args.process == "binomial":
@@ -387,11 +389,10 @@ def _run_check(report: ExperimentReport, multiplier: float) -> list[str]:
 def _cmd_simulate(args) -> int:
     started = time.time()
     config = _load_config(args.config)
-    seed = _resolve(args.seed, _config_seed(config), _env("SEED", int), 0)
+    plan = parse_plan(config, seed_override=args.seed)
+    _, se_multiplier = _parse_probe_and_check(config)
     workers = _resolve(args.workers, None, _env("WORKERS", int), 1)
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
-    plan = parse_plan(config, seed_override=seed)
-    _, se_multiplier = _parse_probe_and_check(config)
 
     def progress(lam, lambda_report):
         print(f"lambda={lam:g}: joint discrepancy "
@@ -399,7 +400,7 @@ def _cmd_simulate(args) -> int:
 
     report = run_experiment(plan, workers=workers, progress=progress)
     payload = report.to_dict()
-    meta = _meta(config, seed, started)
+    meta = _meta(config, plan.seed, started)
     path = _write_report(out_dir, payload, meta)
     _write_tables(out_dir, payload)
     if args.json:
@@ -423,7 +424,7 @@ def _cmd_stab_probe(args) -> int:
                   _TOP_KEYS_REQUIRED + _TOP_KEYS_OPTIONAL)
     fields = _parse_plan_fields(config)
     probe, _ = _parse_probe_and_check(config)
-    seed = _resolve(args.seed, _config_seed(config), _env("SEED", int), 0)
+    seed = _seed(config, args.seed)
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
     result = stabilization_probe(
         fields["density"], probe["lambda"], fields["functional"],

@@ -105,8 +105,12 @@ class ExperimentPlan:
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
         grid = self.lambda_grid
+        if not all(0.0 < v < np.inf for v in grid):
+            raise ValueError("lambda_grid values must be positive and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("lambda grid must be strictly increasing")
+            raise ValueError("lambda_grid must be strictly increasing")
+        if np.isnan(self.t_grid).any():
+            raise ValueError("t_grid values must not be NaN")
 
 
 def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec, r: int,
@@ -221,7 +225,10 @@ def product_form_discrepancy(standardized: np.ndarray,
 
     The grid is the m-fold product of the per-axis thresholds (default 13
     points on [-3, 3]); the node count m * |grid|^m must stay within
-    ``budget``.
+    ``budget``.  The joint empirical CDF counts samples per node: each
+    sample is binned at the lowest grid node at or above it on every axis,
+    and cumulative sums along the axes give, at each node, the exact count
+    of samples at or below it.
     """
     std = np.asarray(standardized, dtype=float)
     if std.ndim == 1:
@@ -236,20 +243,19 @@ def product_form_discrepancy(standardized: np.ndarray,
     if m * g ** m > budget:
         raise GridBudgetError(
             f"grid of {g}^{m} nodes exceeds the budget {budget}; use a coarser grid")
-    ind = [(std[:, i][:, None] <= grid[None, :]).astype(float) for i in range(m)]
-    if m == 1:
-        cdf = ind[0].mean(axis=0)
-    elif m == 2:
-        cdf = ind[0].T @ ind[1] / n
-    elif m == 3:
-        cdf = np.einsum("na,nb,nc->abc", ind[0], ind[1], ind[2]) / n
-    else:
-        cdf = np.empty((g,) * m)
-        for node in np.ndindex(*cdf.shape):
-            ok = np.ones(n, dtype=bool)
-            for axis, gi in enumerate(node):
-                ok &= std[:, axis] <= grid[gi]
-            cdf[node] = ok.mean()
+    order = np.argsort(grid, kind="stable")
+    # per axis, the sorted position of the lowest node >= the sample; g means
+    # above every node.  NaN sorts last, and a NaN node's Phi makes its
+    # difference NaN whatever its count.
+    pos = np.searchsorted(grid[order], std.T)
+    inside = (pos < g).all(axis=0)
+    counts = np.bincount(np.ravel_multi_index(pos[:, inside], (g,) * m),
+                         minlength=g ** m).reshape((g,) * m)
+    for axis in range(m):
+        np.cumsum(counts, axis=axis, out=counts)
+    rank = np.empty(g, dtype=np.intp)
+    rank[order] = np.arange(g)
+    cdf = counts[np.ix_(*[rank] * m)] / n
     phi = ndtr(grid)
     prod = phi.copy()
     for _ in range(m - 1):

@@ -23,8 +23,7 @@ radius tail.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,22 +134,6 @@ def nn_distance(x, config: PointConfiguration) -> float:
     return float(np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff))))
 
 
-def _with_insertion(points: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Append x unless an identical point exists; return (points, index of x)."""
-    match = np.nonzero(np.all(points == x, axis=1))[0]
-    if len(match):
-        return points, int(match[0])
-    return np.vstack([points, x]), len(points)
-
-
-def _knn_graph(points: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) kNN neighbour matrix; too few points is InsufficientPointsError."""
-    n = len(points)
-    if n - 1 < k:
-        raise InsufficientPointsError(f"need at least k+1={k + 1} points, got {n}")
-    return neighbors.knn_indices(points, k)
-
-
 def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
                            alpha: float) -> np.ndarray:
     """Half the alpha-weighted incident edge length of the kNN graph, per point."""
@@ -173,8 +156,17 @@ def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
 def xi_knn(x, config: PointConfiguration, spec: FunctionalSpec) -> float:
     """Score of x under the undirected kNN family (x inserted if absent)."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    pts, idx = _with_insertion(config.points, x)
-    return float(_incident_half_weights(pts, _knn_graph(pts, spec.k), spec.alpha)[idx])
+    pts = config.points
+    match = np.flatnonzero(np.all(pts == x, axis=1))
+    if len(match):
+        idx = int(match[0])
+    else:
+        pts, idx = np.vstack([pts, x]), len(pts)
+    if len(pts) - 1 < spec.k:
+        raise InsufficientPointsError(
+            f"need at least k+1={spec.k + 1} points, got {len(pts)}")
+    nbr = neighbors.knn_indices(pts, spec.k)
+    return float(_incident_half_weights(pts, nbr, spec.alpha)[idx])
 
 
 def xi_directed_nn(x, config: PointConfiguration, alpha: float) -> float:
@@ -286,25 +278,19 @@ class StabilizationProbeResult:
     tail_probs: np.ndarray      # P[R > t] with censored radii as lower bounds
     decay_slope: float
     r_squared: float
-    fit_window: tuple[float, float] = (0.0, 0.0)
-    meta: dict = field(default_factory=dict)
+    fit_window: tuple[float, float]
 
 
 def _xi_at(x: np.ndarray, points: np.ndarray, spec: FunctionalSpec,
            dimension: int, evaluator=None) -> float:
+    """The score of x among the points, both dilated by lambda^(1/d)."""
     if evaluator is not None:
         return float(evaluator(x, points, spec))
     scale = spec.lam ** (1.0 / dimension)
-    xd = x * scale
+    dilated = PointConfiguration(dimension=dimension, points=points * scale)
     if spec.family == DIRECTED_NN:
-        diff = points * scale - xd
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        d2 = d2[d2 > 0.0]
-        if len(d2) == 0:
-            raise InsufficientPointsError("probe point has no neighbour")
-        return math.sqrt(float(d2.min())) ** spec.alpha
-    pts, idx = _with_insertion(points * scale, xd)
-    return float(_incident_half_weights(pts, _knn_graph(pts, spec.k), spec.alpha)[idx])
+        return xi_directed_nn(x * scale, dilated, spec.alpha)
+    return xi_knn(x * scale, dilated, spec)
 
 
 _PROBE_REL_TOL = 1e-12  # a score counts as unchanged within this relative gap
@@ -402,25 +388,16 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
 
     t_grid = np.linspace(0.0, _quantile(radii, 0.999), 41)
     tail_probs = np.array([(radii > t).mean() for t in t_grid])
-    meta = {"lambda": lam, "probe_count": probe_count,
-            "resample_count": resample_count,
-            "censored_count": int(censored.sum())}
 
     # fit log P[R > t] ~ slope * t over the informative tail
-    min_prob = max(5.0 / probe_count, 1.0 / probe_count)
-    sel = (tail_probs <= 0.5) & (tail_probs >= min_prob)
+    sel = (tail_probs <= 0.5) & (tail_probs >= 5.0 / probe_count)
     if sel.sum() < 3:
         sel = tail_probs > 0.0
-    if sel.sum() < 2:
-        # every probe stabilized at (nearly) the same radius: no tail to fit
-        meta["degenerate_tail"] = True
-        return StabilizationProbeResult(
-            radii=radii, censored=censored, t_grid=t_grid,
-            tail_probs=tail_probs, decay_slope=0.0, r_squared=1.0, meta=meta)
-    ts = t_grid[sel]
-    slope, _, r2 = fit_line(ts, np.log(tail_probs[sel]))
+    slope, r2, window = 0.0, 1.0, (0.0, 0.0)
+    if sel.sum() >= 2:  # else every probe stabilized at one radius: no tail
+        ts = t_grid[sel]
+        slope, _, r2 = fit_line(ts, np.log(tail_probs[sel]))
+        window = (float(ts[0]), float(ts[-1]))
     return StabilizationProbeResult(
         radii=radii, censored=censored, t_grid=t_grid, tail_probs=tail_probs,
-        decay_slope=slope, r_squared=r2,
-        fit_window=(float(ts[0]), float(ts[-1])), meta=meta,
-    )
+        decay_slope=slope, r_squared=r2, fit_window=window)

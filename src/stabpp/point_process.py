@@ -123,6 +123,8 @@ class DensitySpec:
             raise ValueError("density weights must be nonnegative")
         if not any(v > 0.0 for v in w):
             raise ValueError("density must be positive somewhere")
+        if not np.isfinite(self.total_mass):
+            raise ValueError(f"density must have finite mass, got {self.total_mass}")
         if self.normalized and abs(self.total_mass - 1.0) > 1e-9:
             raise ValueError(
                 f"probability density must integrate to 1, got {self.total_mass}"

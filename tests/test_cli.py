@@ -224,7 +224,8 @@ def _box(lower, upper):
 
 
 class TestBadValues:
-    """A bad value anywhere in the plan is a config error naming its key."""
+    """A bad value anywhere in the plan is a config error naming its key, in
+    both commands that build the plan."""
 
     @pytest.mark.parametrize("overrides, named", [
         ({"density": {"boxes": [_box(["a"], [1.0])], "weights": [1.0]}},
@@ -242,26 +243,50 @@ class TestBadValues:
         ({"functional": {"family": "nn_directed", "k": "two"}}, "functional.k"),
         ({"functional": {"family": "nn_directed", "alpha": -1.0}},
          "functional: alpha"),
+        ([1, 2], "config must be a JSON object"),
+        ({"lambda_grid": [200.0, 100.0]}, "lambda_grid"),
+        ({"replicates": 1}, "replicates"),
+        ({"regions": [[_box([0.0], [0.6])], [_box([0.4], [1.0])]]}, "regions"),
+        ({"lambda_grid": [-5.0, 100.0]}, "lambda_grid"),
+        ({"lambda_grid": [0.0]}, "lambda_grid"),
+        ({"lambda_grid": [math.nan]}, "lambda_grid"),
+        ({"t_grid": [0.0, math.nan]}, "t_grid"),
+        ({"density": {"boxes": [_box([0.0], [1.0])], "weights": [math.inf]}},
+         "density"),
+        ({"density": {"boxes": [_box([0.0], [math.inf])], "weights": [1.0]}},
+         "density"),
+        ({"density": {"boxes": [_box([0.0], [math.inf])], "homogeneous": True}},
+         "density"),
     ], ids=["bound_not_number", "lower_not_below_upper", "scalar_lower",
             "weight_not_number", "negative_weight", "value_not_number",
-            "seed_not_integer", "k_not_integer", "alpha_not_positive"])
+            "seed_not_integer", "k_not_integer", "alpha_not_positive",
+            "config_not_object", "lambda_grid_decreasing", "one_replicate",
+            "regions_overlap", "lambda_negative", "lambda_zero", "lambda_nan",
+            "t_grid_nan", "weight_infinite", "bound_infinite",
+            "homogeneous_infinite"])
     def test_simulate_exits_2_naming_the_key(self, tmp_path, capsys,
                                              overrides, named):
-        path = write_config(tmp_path, base_config(replicates=4, **overrides))
-        assert cli.main(["simulate", "--config", path,
-                         "--out", str(tmp_path / "s")]) == 2
-        assert named in capsys.readouterr().err
+        cfg = (base_config(**{"replicates": 4, **overrides})
+               if isinstance(overrides, dict) else overrides)
+        path = write_config(tmp_path, cfg)
+        # sample builds the same plan, so it rejects the same values
+        for command in ("simulate", "sample"):
+            assert cli.main([command, "--config", path,
+                             "--out", str(tmp_path / command)]) == 2
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
 
 
 class TestEmptyLists:
-    """An empty plan list is a config error naming its key, in every command
-    that reads the config, before any replicate runs."""
+    """An empty plan list, or an empty list in place of the whole config, is a
+    config error naming its key, in every command that reads the config,
+    before any replicate runs."""
 
     @pytest.mark.parametrize("command", ["simulate", "sample", "stab-probe"])
-    @pytest.mark.parametrize("key", ["regions", "lambda_grid", "t_grid"])
+    @pytest.mark.parametrize("key", ["regions", "lambda_grid", "t_grid", "config"])
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, key):
-        cfg = base_config(probe={"count": 5, "lambda": 60.0})
-        cfg[key] = []
+        cfg = ([] if key == "config"
+               else base_config(probe={"count": 5, "lambda": 60.0}, **{key: []}))
         path = write_config(tmp_path, cfg)
         assert cli.main([command, "--config", path,
                          "--out", str(tmp_path / "o")]) == 2

@@ -1,5 +1,6 @@
 """Estimators, normality diagnostics, rate fits, and the experiment pipeline."""
 
+import itertools
 import json
 import time
 import warnings
@@ -112,7 +113,43 @@ class TestKolmogorov:
             assert ex.ks_to_normal(x) == ref
 
 
+def plain_product_form(std, grid):
+    """The product-form discrepancy node by node: the share of samples at or
+    below the node on every axis against the product of normal CDFs, and
+    the first node in C order where the gap is largest."""
+    grid = np.asarray(grid, dtype=float)
+    phi = scipy_ndtr(grid)
+    best, arg = -1.0, None
+    for node in itertools.product(range(len(grid)), repeat=std.shape[1]):
+        cdf = np.all(std <= grid[list(node)], axis=1).mean()
+        prod = phi[node[0]]
+        for i in node[1:]:
+            prod = prod * phi[i]
+        if abs(cdf - prod) > best:
+            best, arg = abs(cdf - prod), node
+    return float(best), tuple(float(grid[i]) for i in arg)
+
+
 class TestProductForm:
+    @pytest.mark.parametrize("m, grid, on_nodes", [
+        (1, ex.DEFAULT_T_GRID, False),
+        (2, ex.DEFAULT_T_GRID, True),
+        (3, ex.DEFAULT_T_GRID, False),
+        (4, np.linspace(-1.5, 1.5, 7), True),
+        (2, [0.5, -1.0, 0.0, 0.5, 1.5], True),
+        (3, [0.5, -1.0, 0.0, 0.5, 1.5], False),
+        (60, [0.3], False),
+    ], ids=["m1", "m2_on_nodes", "m3", "m4_on_nodes", "unsorted_duplicate_m2",
+            "unsorted_duplicate_m3", "m60_one_node"])
+    def test_counts_equal_the_plain_definition(self, m, grid, on_nodes):
+        rng = np.random.default_rng(m)
+        std = rng.standard_normal((400, m))
+        if on_nodes:
+            # every other sample sits exactly on grid nodes
+            std[::2] = rng.choice(np.asarray(grid), size=std[::2].shape)
+        joint = ex.product_form_discrepancy(std, grid)
+        assert (joint.sup, joint.argmax_node) == plain_product_form(std, grid)
+
     def test_independent_normals(self):
         rng = np.random.default_rng(11)
         std = rng.standard_normal((100_000, 2))

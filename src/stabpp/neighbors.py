@@ -3,11 +3,12 @@
 The kernel must return exactly the same neighbour sets, in the same order, as
 the O(n^2) reference (`brute_force_knn`), which is kept as the test oracle.
 Distance ties are broken by the canonical point order (generation index), so
-both compute distances with the same formula and sort by (distance, index).
+both compute distances with the same formula and order by (distance, index).
 
-The kernel buckets the points into a grid of about k+1 points per cell.  On
-each axis the grid spans the order statistics of zero-based ranks c and
-n-1-c, c = (n-1) // 100, which bracket the 1% and 99% quantiles; one
+The kernel buckets the points into a grid of about (k+1)/2 points per cell,
+or k+1 when at most one axis has several cells.  On each axis the grid
+spans the order statistics of zero-based ranks c and n-1-c,
+c = (n-1) // 100, which bracket the 1% and 99% quantiles; one
 ``np.partition`` finds both.  Spanning these rather than the bounding box
 keeps a few far outliers from crowding all other points into one cell;
 points beyond them are clamped into the edge cells.  Each axis has its own
@@ -17,7 +18,10 @@ gather their candidates from the block of cells within r cells of their own
 at once.  A point outside the block is farther than r times the smallest
 width of an axis with several cells (a clamped point lies even farther out
 than its cell says), so a row whose k-th distance is below that bound is
-final; the rows that fail are redone with r doubled.
+final; the rows that fail are redone with r doubled.  A final row's k
+neighbours are picked in k passes of ``np.minimum.reduceat`` over its
+candidates, without sorting them: each pass takes the least distance, then
+the least index among the candidates at that distance.
 Queries go in chunks so that the candidate arrays stay bounded: all-duplicate
 input puts n^2 candidates into one cell.
 """
@@ -31,6 +35,7 @@ __all__ = ["brute_force_knn", "knn_indices", "nn_distances"]
 # candidates plus block cells gathered at once; larger chunks were no faster
 # and raised the peak resident set
 _CHUNK = 1 << 12
+_NO_INDEX = np.iinfo(np.int64).max
 
 
 def _pair_dists(points: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -67,6 +72,28 @@ def _grid_shape(ext: np.ndarray, cells: float) -> np.ndarray:
     return shape
 
 
+def _select(cand, dist, have, k, out_idx, out_dist, rows):
+    """Write the k least (distance, index) candidates of each row, in order.
+
+    The candidates come grouped by row, ``have`` (>= k) per row, and a row
+    holds each index at most once.  Each pass takes a row's least distance,
+    then the least index among the candidates at that distance, and sets
+    the chosen candidate's distance to inf.  ``dist`` is overwritten.
+    """
+    start = np.cumsum(have) - have
+    for j in range(k):
+        least = np.minimum.reduceat(dist, start)
+        tied = dist == np.repeat(least, have)
+        if np.count_nonzero(tied) > len(start):
+            # several candidates at some row's least distance
+            pick = np.minimum.reduceat(np.where(tied, cand, _NO_INDEX), start)
+            tied &= cand == np.repeat(pick, have)
+        chosen = np.flatnonzero(tied)
+        out_idx[rows, j] = cand[chosen]
+        out_dist[rows, j] = least
+        dist[chosen] = np.inf
+
+
 def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
     """k nearest other points of each point in ``rows``: (indices, distances),
     each row sorted by (distance, index)."""
@@ -77,7 +104,12 @@ def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
     part = np.partition(pts, (cut, n - 1 - cut), axis=0)
     lo, hi = part[cut], part[n - 1 - cut]
     ext = hi - lo
-    shape = _grid_shape(ext, n / (k + 1))
+    shape = _grid_shape(ext, 2 * n / (k + 1))
+    if (shape > 1).sum() < 2:
+        # along a line the points within one width of a query fill only two
+        # cells, k of k+1 on a lattice, so half-full cells would send every
+        # row to a second round
+        shape = _grid_shape(ext, n / (k + 1))
     width = np.where(shape > 1, ext / shape, np.inf)
     cell = np.clip(np.floor((pts - lo) / width), 0, shape - 1).astype(np.int64)
     strides = np.cumprod(np.r_[shape[1:], 1][::-1])[::-1]
@@ -122,12 +154,12 @@ def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
                 # a row is final once k candidates lie within the bound
                 keep = (cand != query) & (dist < bound)
                 cand, owner, dist = cand[keep], owner[keep], dist[keep]
-                srt = np.lexsort((cand, dist, owner))
                 have = np.bincount(owner, minlength=b - a)
                 ok = have >= k
-                take = srt[(np.cumsum(have) - have)[ok, None] + np.arange(k)]
-                out_idx[mine[ok]] = cand[take]
-                out_dist[mine[ok]] = dist[take]
+                if not ok.all():
+                    live = ok[owner]
+                    cand, dist, have = cand[live], dist[live], have[ok]
+                _select(cand, dist, have, k, out_idx, out_dist, mine[ok])
                 failed.append(mine[~ok])
         todo = np.concatenate(failed)
         r *= 2

@@ -16,6 +16,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -335,6 +336,13 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.lam is not None and not 0.0 < args.lam < math.inf:
+        print(f"error: --lambda must be positive and finite, got {args.lam:g}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if args.n is not None and args.n < 0:
+        print(f"error: --n must be >= 0, got {args.n}", file=sys.stderr)
+        return EXIT_USAGE
     config = _load_config(args.config)
     plan = parse_plan(config, seed_override=args.seed)
     _parse_probe_and_check(config)
@@ -392,6 +400,10 @@ def _cmd_simulate(args) -> int:
     plan = parse_plan(config, seed_override=args.seed)
     _, se_multiplier = _parse_probe_and_check(config)
     workers = _resolve(args.workers, None, _env("WORKERS", int), 1)
+    if workers < 1:
+        source = "--workers" if args.workers is not None else _ENV_PREFIX + "WORKERS"
+        print(f"error: {source} must be >= 1, got {workers}", file=sys.stderr)
+        return EXIT_USAGE
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
 
     def progress(lam, lambda_report):

@@ -106,9 +106,9 @@ def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
     ext = hi - lo
     shape = _grid_shape(ext, 2 * n / (k + 1))
     if (shape > 1).sum() < 2:
-        # along a line the points within one width of a query fill only two
-        # cells, k of k+1 on a lattice, so half-full cells would send every
-        # row to a second round
+        # along a line the points within one cell width of a query fill
+        # about two cells, k+1 at (k+1)/2 per cell: too few on a lattice,
+        # where most rows would go round again
         shape = _grid_shape(ext, n / (k + 1))
     width = np.where(shape > 1, ext / shape, np.inf)
     cell = np.clip(np.floor((pts - lo) / width), 0, shape - 1).astype(np.int64)

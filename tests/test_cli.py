@@ -276,6 +276,28 @@ class TestBadValues:
             assert named in capsys.readouterr().err
             assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("argv, env, named", [
+        (["sample", "--lambda", "-5"], None, "--lambda"),
+        (["sample", "--lambda", "0"], None, "--lambda"),
+        (["sample", "--lambda", "nan"], None, "--lambda"),
+        (["sample", "--lambda", "inf"], None, "--lambda"),
+        (["sample", "--process", "binomial", "--n", "-3"], None, "--n"),
+        (["simulate", "--workers", "-3"], None, "--workers"),
+        (["simulate", "--workers", "0"], None, "--workers"),
+        (["simulate"], "0", "STABPP_WORKERS"),
+    ], ids=["lambda_negative", "lambda_zero", "lambda_nan", "lambda_infinite",
+            "n_negative", "workers_negative", "workers_zero", "env_workers_zero"])
+    def test_bad_flag_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                              monkeypatch, argv, env, named):
+        # every worker count here is below 1, so no pool can start
+        if env is not None:
+            monkeypatch.setenv("STABPP_WORKERS", env)
+        path = write_config(tmp_path, base_config(replicates=4))
+        assert cli.main(argv + ["--config", path,
+                                "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEmptyLists:
     """An empty plan list, or an empty list in place of the whole config, is a

@@ -48,6 +48,30 @@ class TestEquivalence:
                               for c in centers])
         assert np.array_equal(nb.knn_indices(pts, 3), nb.brute_force_knn(pts, 3))
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_redone_after_first_pass(self, d):
+        # clusters of 6 with duplicates: each row's 8 nearest reach into
+        # other clusters, beyond the first block, so many rows go round again
+        rng = np.random.default_rng(20 + d)
+        centers = rng.uniform(0, 10, size=(40, d))
+        pts = np.concatenate([c + 0.01 * rng.integers(0, 2, size=(6, d))
+                              for c in centers])
+        assert np.array_equal(nb.knn_indices(pts, 8), nb.brute_force_knn(pts, 8))
+
+    @pytest.mark.parametrize("lattice", ["1d_0.2_lattice", "2d_integer_lattice"])
+    def test_kth_distances_tie_across_a_row(self, lattice):
+        rng = np.random.default_rng(9)
+        if lattice == "1d_0.2_lattice":
+            pts = (rng.integers(0, 400, size=2000) * 0.2).reshape(-1, 1)
+        else:
+            pts = rng.integers(0, 45, size=(2000, 2)).astype(float)
+        assert np.array_equal(nb.knn_indices(pts, 5), nb.brute_force_knn(pts, 5))
+
+    def test_identical_points_across_chunks(self):
+        # 299 tied candidates per row put about 13 rows in each chunk
+        pts = np.full((300, 2), 0.25)
+        assert np.array_equal(nb.knn_indices(pts, 5), nb.brute_force_knn(pts, 5))
+
     def test_lattice_ties_break_by_index(self):
         # (1,0) and (0,1) tie at distance 1 from the origin
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
@@ -94,8 +118,21 @@ class TestNNDistances:
         rng = np.random.default_rng(42 + d)
         pts = rng.uniform(size=(200, d))
         nn = nb.brute_force_knn(pts, 1)[:, 0]
-        expected = np.sqrt(((pts - pts[nn]) ** 2).sum(axis=1))
-        assert np.allclose(nb.nn_distances(pts), expected, rtol=1e-15, atol=0)
+        diff = pts - pts[nn]
+        expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        assert np.array_equal(nb.nn_distances(pts), expected)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_subset_matches_brute_force(self, d):
+        rng = np.random.default_rng(70 + d)
+        pts = rng.integers(0, 50, size=(2000, d)) * 0.1
+        mask = rng.uniform(size=2000) < 0.3
+        nn = nb.brute_force_knn(pts, 1)[:, 0]
+        diff = pts - pts[nn]
+        expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        out = nb.nn_distances(pts, subset=mask)
+        assert np.array_equal(out[mask], expected[mask])
+        assert np.all(np.isnan(out[~mask]))
 
     def test_subset_mask(self):
         rng = np.random.default_rng(1)

@@ -3,8 +3,8 @@
 A plan fixes the density, the disjoint regions with their test functions, the
 functional family, a grid of intensities, and a replicate count.  Replicate r
 of any intensity draws its configuration from stream r of the plan seed, so
-results are independent of worker count and scheduling; failed replicates
-(too few points) retry on reserved sub-streams and abort after 3 attempts.
+results are independent of worker count and scheduling; a draw with fewer than
+k+1 points, wherever they lie, is redrawn up to 3 times, then the run aborts.
 
 Per intensity the engine reports, for each region, the sample mean and
 unbiased variance of the statistic with standard errors (the variance SE via
@@ -29,10 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from . import point_process
-from .functionals import (DIRECTED_NN, FunctionalSpec, InsufficientPointsError,
-                          TestFunctionSpec, fit_line, t_vector)
+from .functionals import (DIRECTED_NN, FunctionalSpec, TestFunctionSpec,
+                          fit_line, t_vector)
 from .neighbors import nn_distances
-from .point_process import (BINOMIAL_STREAM_BASE, DensitySpec,
+from .point_process import (BINOMIAL_STREAM_BASE, DensitySpec, first_with,
                             replicate_streams, sample_binomial,
                             sample_poisson)
 from .regions import Region
@@ -115,17 +115,11 @@ class ExperimentPlan:
 
 def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec, r: int,
                    rng: np.random.Generator) -> np.ndarray:
-    lam = spec.lam
-    last_err = None
-    for s in replicate_streams(r):
-        config = sample_poisson(plan.density, lam, plan.seed, stream=s, rng=rng)
-        try:
-            return t_vector(config, plan.test_functions, spec)
-        except InsufficientPointsError as err:
-            last_err = err
-    raise RuntimeError(
-        f"replicate {r} at lambda={lam} failed after 3 retries "
-        f"(too few points for {plan.functional.family}): {last_err}")
+    draws = (sample_poisson(plan.density, spec.lam, plan.seed, stream=stream, rng=rng)
+             for stream in replicate_streams(r))
+    config = first_with(spec.min_points, draws,
+                        f"replicate {r} at lambda={spec.lam} ({spec.family})")
+    return t_vector(config, plan.test_functions, spec)
 
 
 def _replicate_chunk(args) -> np.ndarray:
@@ -516,8 +510,8 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
     replicate configurations are reused across the requested exponents.  The
     Poisson scaled variance should exceed the binomial one by the squared
     Poisson-excess coefficient.  A Poisson draw with fewer than 2 points is
-    redrawn on the retry streams of ``run_replicates``; after 3 retries the
-    run aborts with RuntimeError.
+    redrawn on the replicate's retry streams, as in ``run_replicates``
+    (``first_with``); after 3 retries the run aborts with RuntimeError.
     """
     alphas = [float(a) for a in alphas]
     region = Region.interval(0.0, 1.0)
@@ -528,15 +522,9 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
     data = np.empty((replicates, 2 * k))
     rng = point_process.generator(seed, 0)  # re-keyed for every draw
     for r in range(replicates):
-        for s in replicate_streams(r):
-            cfg_p = sample_poisson(density, lam, seed, stream=s, rng=rng)
-            if len(cfg_p) >= 2:
-                break
-        else:
-            raise RuntimeError(
-                f"replicate {r} at lambda={lam} failed after 3 retries "
-                f"(too few points for nearest-neighbour distances): "
-                f"{len(cfg_p)} points")
+        draws = (sample_poisson(density, lam, seed, stream=stream, rng=rng)
+                 for stream in replicate_streams(r))
+        cfg_p = first_with(2, draws, f"replicate {r} at lambda={lam}")
         cfg_b = sample_binomial(region, n_points, seed,
                                 stream=BINOMIAL_STREAM_BASE + r, rng=rng)
         # every point lies in the region, so the region sum is the plain sum;

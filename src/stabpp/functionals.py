@@ -23,14 +23,15 @@ radius tail.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import neighbors
 from .point_process import (PROBE_STREAM_BASE, DensitySpec,
-                            PointConfiguration, generator, sample_location,
-                            sample_poisson_rng)
+                            PointConfiguration, first_with, generator,
+                            sample_location, sample_poisson_rng)
 from .regions import Region
 
 __all__ = [
@@ -282,10 +283,8 @@ class StabilizationProbeResult:
 
 
 def _xi_at(x: np.ndarray, points: np.ndarray, spec: FunctionalSpec,
-           dimension: int, evaluator=None) -> float:
+           dimension: int) -> float:
     """The score of x among the points, both dilated by lambda^(1/d)."""
-    if evaluator is not None:
-        return float(evaluator(x, points, spec))
     scale = spec.lam ** (1.0 / dimension)
     dilated = PointConfiguration(dimension=dimension, points=points * scale)
     if spec.family == DIRECTED_NN:
@@ -315,8 +314,8 @@ def _quantile(values: np.ndarray, q: float) -> float:
 
 
 def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
-                        probe_count: int, resample_count: int, seed: int,
-                        evaluator=None) -> StabilizationProbeResult:
+                        probe_count: int, resample_count: int,
+                        seed: int) -> StabilizationProbeResult:
     """Estimate the stabilization-radius distribution by rerandomization.
 
     For each probe location x (drawn from the density), searches for the
@@ -325,7 +324,9 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
     radius r * lambda^(-1/d) around x.  Searches that hit the dilated region
     diameter without stabilizing are flagged censored and enter the tail
     estimate as lower bounds.  Probe i draws everything from stream
-    ``PROBE_STREAM_BASE + i``.
+    ``PROBE_STREAM_BASE + i``; a base draw with fewer than k+1 points is
+    redrawn, and after 3 retries the probe raises RuntimeError naming
+    ``probe.lambda`` and ``functional.k``.
     """
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
@@ -345,10 +346,10 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
     for i in range(probe_count):
         rng = generator(seed, PROBE_STREAM_BASE + i)
         x = sample_location(density, rng)
-        base = sample_poisson_rng(density, lam, rng)
-        while len(base) < spec.min_points:
-            base = sample_poisson_rng(density, lam, rng)
-        xi0 = _xi_at(x, base, spec, d, evaluator)
+        draws = (sample_poisson_rng(density, lam, rng) for _ in itertools.count())
+        base = first_with(spec.min_points, draws,
+                          f"probe {i} at probe.lambda={lam} with functional.k={spec.k}")
+        xi0 = _xi_at(x, base, spec, d)
         diff = base - x
         base_d2 = np.einsum("ij,ij->i", diff, diff)
 
@@ -361,7 +362,7 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
                 mixed = np.vstack([base[ball], fresh[outside]])
                 if len(mixed) < spec.min_points:
                     return False
-                xi1 = _xi_at(x, mixed, spec, d, evaluator)
+                xi1 = _xi_at(x, mixed, spec, d)
                 if abs(xi1 - xi0) > _PROBE_REL_TOL * max(1.0, abs(xi0)):
                     return False
             return True

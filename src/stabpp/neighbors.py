@@ -43,11 +43,23 @@ def _pair_dists(points: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+def _check_span(pts: np.ndarray) -> None:
+    """Raise ValueError unless every squared distance of the points is finite."""
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
+    with np.errstate(over="ignore"):
+        span = pts.max(axis=0) - pts.min(axis=0)
+        if not np.isfinite(span @ span):
+            raise ValueError(
+                f"squared distances overflow: the points span {span.max():.3g}")
+
+
 def brute_force_knn(points: np.ndarray, k: int) -> np.ndarray:
     """Reference kNN: full pairwise distances, (n, k) neighbour indices."""
     n = len(points)
     if n - 1 < k:
         raise ValueError(f"need at least k+1={k + 1} points, got {n}")
+    _check_span(points)
     out = np.empty((n, k), dtype=np.int64)
     for i in range(n):
         d = _pair_dists(points, points[i])
@@ -98,8 +110,7 @@ def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
     """k nearest other points of each point in ``rows``: (indices, distances),
     each row sorted by (distance, index)."""
     n, d = pts.shape
-    if not np.isfinite(pts).all():
-        raise ValueError("point coordinates must be finite")
+    _check_span(pts)
     cut = (n - 1) // 100
     part = np.partition(pts, (cut, n - 1 - cut), axis=0)
     lo, hi = part[cut], part[n - 1 - cut]
@@ -123,7 +134,7 @@ def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
     out_dist = np.empty((len(rows), k))
     todo = np.arange(len(rows))
     r = 1
-    while len(todo):
+    while todo.size:
         reach = np.minimum(r, shape - 1)
         bound = np.inf if (reach == shape - 1).all() else r * wmin
         offsets = np.stack(np.meshgrid(*[np.arange(-a, a + 1) for a in reach],

@@ -29,6 +29,7 @@ for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy would import it on the first draw
@@ -42,6 +43,7 @@ __all__ = [
     "BINOMIAL_STREAM_BASE",
     "PROBE_STREAM_BASE",
     "replicate_streams",
+    "first_with",
     "generator",
     "rekey",
     "sample_poisson",
@@ -61,11 +63,24 @@ RETRY_STREAM_BASE = 1 << 32
 BINOMIAL_STREAM_BASE = 1 << 36
 PROBE_STREAM_BASE = 1 << 40
 
+MAX_DRAWS = 4  # a first draw and 3 retries: len(replicate_streams(r))
+
 
 def replicate_streams(r: int) -> tuple[int, ...]:
     """Stream r, then its 3 reserved retry streams."""
     base = RETRY_STREAM_BASE + 4 * r
     return (r, base, base + 1, base + 2)
+
+
+def first_with(min_points: int, draws, what: str):
+    """The first of the lazy ``draws`` (configurations or point arrays) with
+    at least ``min_points`` points, wherever they lie.  At most ``MAX_DRAWS``
+    are taken; when all are short, raises RuntimeError naming ``what``."""
+    for draw in islice(draws, MAX_DRAWS):
+        if len(draw) >= min_points:
+            return draw
+    raise RuntimeError(f"{what}: no draw with {min_points} or more points "
+                       f"after {MAX_DRAWS - 1} retries")
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
@@ -137,10 +152,6 @@ class DensitySpec:
         return cls(region=region, weights=(w,) * len(region.boxes))
 
     @property
-    def sup_norm(self) -> float:
-        return max(self.weights)
-
-    @property
     def box_masses(self) -> np.ndarray:
         return np.array([w * b.volume for w, b in zip(self.weights, self.region.boxes)])
 
@@ -155,7 +166,6 @@ class PointConfiguration:
 
     dimension: int
     points: np.ndarray  # (n, d) float64, read-only
-    provenance: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.atleast_2d(np.asarray(self.points, dtype=float)))
@@ -168,14 +178,6 @@ class PointConfiguration:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @classmethod
-    def from_points(cls, points, dimension: int | None = None) -> "PointConfiguration":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] > 1 and dimension == 1:
-            pts = pts.reshape(-1, 1)
-        d = dimension if dimension is not None else pts.shape[1]
-        return cls(dimension=d, points=pts)
 
 
 def _uniform_in_box(rng: np.random.Generator, box: Box, n: int) -> np.ndarray:
@@ -208,8 +210,7 @@ def sample_poisson(density: DensitySpec, lam: float, seed: int, stream: int = 0,
     instead of building a new generator; the configuration is the same.
     """
     pts = sample_poisson_rng(density, lam, _stream(seed, stream, rng))
-    return PointConfiguration(dimension=density.region.dimension, points=pts,
-                              provenance=(int(seed), int(stream)))
+    return PointConfiguration(dimension=density.region.dimension, points=pts)
 
 
 def sample_binomial(region: Region, n: int, seed: int, stream: int = 0,
@@ -225,14 +226,12 @@ def sample_binomial(region: Region, n: int, seed: int, stream: int = 0,
     rng = _stream(seed, stream, rng)
     d = region.dimension
     if n == 0:
-        return PointConfiguration(dimension=d, points=np.empty((0, d)),
-                                  provenance=(int(seed), int(stream)))
+        return PointConfiguration(dimension=d, points=np.empty((0, d)))
     vols = np.array([b.volume for b in region.boxes])
     counts = rng.multinomial(n, vols / vols.sum())
     parts = [_uniform_in_box(rng, box, int(c))
              for box, c in zip(region.boxes, counts)]
-    return PointConfiguration(dimension=d, points=np.concatenate(parts, axis=0),
-                              provenance=(int(seed), int(stream)))
+    return PointConfiguration(dimension=d, points=np.concatenate(parts, axis=0))
 
 
 def sample_homogeneous_line(intensity: float, window: Box,

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,17 @@ class TestSimulateCommand:
         doc = json.loads((out / "report.json").read_text())
         assert doc["meta"]["seed"] == 9
 
+    def test_overflowing_distances_exit_1(self, tmp_path, capsys):
+        # a box 1e200 wide: squared distances of the kNN search overflow
+        box = [{"lower": [0.0, 0.0], "upper": [1e200, 1e-199]}]
+        path = write_config(tmp_path, base_config(
+            dimension=2, density={"boxes": box, "homogeneous": True},
+            regions=[box], replicates=4,
+            functional={"family": "knn_undirected", "k": 3, "alpha": 1.0}))
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "w")]) == 1
+        assert "squared distances overflow" in capsys.readouterr().err
+
 
 class TestSampleCommand:
     def test_points_csv(self, tmp_path):
@@ -174,6 +186,24 @@ class TestStabProbeCommand:
         probs = [row["tail_prob"] for row in doc["tail"]]
         assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
         assert (out / "tail.csv").exists()
+
+    def test_unreachable_point_count_fails_fast(self, tmp_path):
+        # k+1 = 31 points at mean 1 per draw: P(N >= 31) is about 5e-35, so
+        # the capped redraw must give up instead of drawing forever
+        path = write_config(tmp_path, base_config(
+            functional={"family": "knn_undirected", "k": 30, "alpha": 1.0},
+            probe={"count": 5, "resamples": 2, "lambda": 1.0}))
+        src = str(Path(stabpp.__file__).resolve().parent.parent)
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabpp.cli", "stab-probe", "--config", path,
+             "--out", str(tmp_path / "p")],
+            capture_output=True, text=True, timeout=10,
+            env={"PYTHONPATH": src, "PATH": ""})
+        assert time.perf_counter() - started < 1.0
+        assert proc.returncode == 1
+        assert "probe.lambda" in proc.stderr
+        assert "functional.k" in proc.stderr
 
     def test_zero_probe_count_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, base_config(

@@ -12,8 +12,7 @@ from scipy.special import ndtr as scipy_ndtr
 
 from stabpp import experiments as ex
 from stabpp.functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
-                                InsufficientPointsError, TestFunctionSpec,
-                                t_vector)
+                                TestFunctionSpec, t_vector)
 from stabpp.point_process import (DensitySpec, generator, replicate_streams,
                                   sample_poisson)
 from stabpp.regions import Region
@@ -240,12 +239,12 @@ def plain_directed_replicate(plan, lam, r):
             n = int(rng.poisson(lam * w * box.volume))
             parts.append(rng.uniform(box.lower, box.upper, size=(n, 1)))
         x = np.concatenate(parts)[:, 0]
+        if len(x) < 2:
+            continue
         masks = [(x >= reg.boxes[0].lower[0]) & (x < reg.boxes[0].upper[0])
                  for reg in plan.regions]
         if not np.logical_or.reduce(masks).any():
             return np.zeros(len(masks))
-        if len(x) < 2:
-            continue
         xd = x * lam
         gap = np.abs(xd[:, None] - xd[None, :])
         np.fill_diagonal(gap, np.inf)
@@ -355,13 +354,35 @@ class TestRunReplicates:
         for r, row in enumerate(got):
             for s in replicate_streams(r):
                 config = sample_poisson(plan.density, 6.0, plan.seed, stream=s)
-                try:
-                    want = t_vector(config, plan.test_functions, spec)
+                if len(config) >= spec.min_points:
                     break
-                except InsufficientPointsError:
-                    retries += 1
-            assert np.array_equal(row, want)
+                retries += 1
+            assert np.array_equal(row, t_vector(config, plan.test_functions, spec))
         assert retries >= 3
+
+    def test_short_draw_outside_the_regions_is_redrawn(self):
+        # a draw with fewer than k+1 points is redrawn even when none of its
+        # points lies in a region: the row is t_vector of the first retry
+        # draw with enough points, not a row of zeros
+        region = Region.interval(0.0, 0.5)
+        plan = ex.ExperimentPlan(
+            density=DensitySpec.homogeneous(Region.interval(0.0, 1.0)),
+            regions=(region,), test_functions=(TestFunctionSpec(region=region),),
+            functional=FunctionalSpec(family=DIRECTED_NN, alpha=1.0),
+            lambda_grid=(3.0,), replicates=30, seed=0)
+        spec = plan.functional.with_lambda(3.0)
+        got = ex.run_replicates(plan, 3.0)
+        redrawn = 0
+        for r, row in enumerate(got):
+            draws = [sample_poisson(plan.density, 3.0, plan.seed, stream=s)
+                     for s in replicate_streams(r)]
+            first = draws[0]
+            if len(first) >= spec.min_points or region.contains(first.points).any():
+                continue
+            want = next(c for c in draws if len(c) >= spec.min_points)
+            assert np.array_equal(row, t_vector(want, plan.test_functions, spec))
+            redrawn += row.any()
+        assert redrawn >= 2
 
     def test_plan_validation(self):
         region = Region.interval(0.0, 1.0)

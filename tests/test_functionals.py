@@ -14,7 +14,7 @@ from stabpp.regions import Region
 
 
 def line_config(*values):
-    return PointConfiguration.from_points([[float(v)] for v in values])
+    return PointConfiguration(dimension=1, points=[[float(v)] for v in values])
 
 
 THREE = line_config(0, 1, 3)
@@ -215,12 +215,12 @@ class TestStabilizationProbe:
         assert res.decay_slope < 0.0
         assert res.censored.sum() == 0
 
-    def test_constant_functional_stabilizes_at_zero(self):
+    def test_constant_functional_stabilizes_at_zero(self, monkeypatch):
         density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        monkeypatch.setattr(fn, "_xi_at", lambda x, points, s, d: 1.0)
         res = fn.stabilization_probe(density, 50.0, spec, probe_count=10,
-                                     resample_count=2, seed=3,
-                                     evaluator=lambda x, points, s: 1.0)
+                                     resample_count=2, seed=3)
         assert np.all(res.radii == 0.0)
 
     def test_quantile_equals_numpy(self):

@@ -41,7 +41,9 @@ class TestEquivalence:
             assert np.array_equal(nb.knn_indices(pts, k), nb.brute_force_knn(pts, k))
 
     def test_clustered_points(self):
-        # tight clusters force deep ring expansion in the grid
+        # tight clusters: the grid spans the gaps between them, yet every
+        # row finishes in its first block; test_rows_redone_after_first_pass
+        # covers rows that go round again
         rng = np.random.default_rng(5)
         centers = rng.uniform(0, 10, size=(6, 2))
         pts = np.concatenate([c + 0.01 * rng.standard_normal((40, 2))
@@ -110,6 +112,14 @@ class TestEquivalence:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             nb.knn_indices(np.zeros((3, 2)), 3)
+
+    @pytest.mark.parametrize("search", [nb.knn_indices, nb.brute_force_knn])
+    def test_overflowing_distances_rejected(self, search):
+        # finite coordinates whose squared differences overflow to inf: no
+        # distance can be compared, so both searches refuse the input
+        pts = np.array([[0.0, 0.0], [1e200, 1e200], [2e200, 0.0], [3e200, 1.0]])
+        with pytest.raises(ValueError, match="squared distances overflow"):
+            search(pts, 2)
 
 
 class TestNNDistances:

@@ -24,7 +24,6 @@ class TestDensitySpec:
         region = Region.from_bounds([((0,), (1,)), ((2,), (3,))])
         spec = pp.DensitySpec(region=region, weights=(1.0, 1.0), normalized=False)
         assert spec.total_mass == pytest.approx(2.0)
-        assert spec.sup_norm == 1.0
 
     def test_needs_some_mass(self):
         with pytest.raises(ValueError):
@@ -37,13 +36,33 @@ class TestDensitySpec:
         assert spec.total_mass == pytest.approx(1.0)
 
 
+class TestFirstWith:
+    @staticmethod
+    def draws(sizes, drawn):
+        for n in sizes:
+            drawn.append(n)
+            yield np.zeros((n, 1))
+
+    def test_stops_at_the_first_accepted_draw(self):
+        drawn = []
+        got = pp.first_with(3, self.draws([1, 0, 3, 5], drawn), "replicate 4")
+        assert len(got) == 3
+        assert drawn == [1, 0, 3]
+
+    def test_never_draws_a_fifth_time(self):
+        drawn = []
+        with pytest.raises(RuntimeError, match=r"replicate 4\b.*retries"):
+            pp.first_with(3, self.draws([2] * 10, drawn), "replicate 4")
+        assert drawn == [2] * pp.MAX_DRAWS
+        assert pp.MAX_DRAWS == 4 == len(pp.replicate_streams(0))
+
+
 class TestDeterminism:
     def test_bit_for_bit(self):
         dens = unit_density()
         a = pp.sample_poisson(dens, 500.0, seed=123, stream=7)
         b = pp.sample_poisson(dens, 500.0, seed=123, stream=7)
         assert np.array_equal(a.points, b.points)
-        assert a.provenance == (123, 7)
 
     def test_streams_differ(self):
         dens = unit_density()
@@ -125,7 +144,6 @@ class TestRekey:
             got = pp.sample_poisson(dens, 40.0, seed=8, stream=stream, rng=rng)
             want = pp.sample_poisson(dens, 40.0, seed=8, stream=stream)
             assert np.array_equal(got.points, want.points)
-            assert got.provenance == want.provenance == (8, stream)
             got = pp.sample_binomial(region, 25, seed=8, stream=stream, rng=rng)
             want = pp.sample_binomial(region, 25, seed=8, stream=stream)
             assert np.array_equal(got.points, want.points)
@@ -249,7 +267,6 @@ class TestHomogeneousLine:
                     got = pp.sample_homogeneous_line(intensity, window, seed=9,
                                                      stream=s)
                     assert np.array_equal(got.points, expected)
-                    assert got.provenance == (9, s)
 
     def test_requires_1d(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .special import (delta_alpha, delta_alpha_sq, exp_moment, gauss_2f1,
-                      limiting_mean, limiting_variance, v_alpha)
+                      v_alpha)
 from .regions import Box, CubeCover, Region, covering, packing
 from .point_process import (DensitySpec, PointConfiguration, sample_binomial,
                             sample_homogeneous_line, sample_poisson)
@@ -19,8 +19,7 @@ from .experiments import (ExperimentPlan, ExperimentReport, RateFit,
 
 __all__ = [
     "__version__",
-    "delta_alpha", "delta_alpha_sq", "exp_moment", "gauss_2f1",
-    "limiting_mean", "limiting_variance", "v_alpha",
+    "delta_alpha", "delta_alpha_sq", "exp_moment", "gauss_2f1", "v_alpha",
     "Box", "CubeCover", "Region", "covering", "packing",
     "DensitySpec", "PointConfiguration", "sample_binomial",
     "sample_homogeneous_line", "sample_poisson",

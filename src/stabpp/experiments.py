@@ -36,7 +36,7 @@ from .point_process import (BINOMIAL_STREAM_BASE, DensitySpec, first_with,
                             replicate_streams, sample_binomial,
                             sample_poisson)
 from .regions import Region
-from .special import delta_alpha, limiting_mean, limiting_variance, ndtr
+from .special import delta_alpha, delta_alpha_sq, exp_moment, ndtr, v_alpha
 
 __all__ = [
     "DEFAULT_T_GRID",
@@ -60,7 +60,6 @@ __all__ = [
     "run_experiment",
     "directed_nn_experiment",
     "compare_poisson_binomial",
-    "kappa_integral",
 ]
 
 DEFAULT_T_GRID = tuple(np.linspace(-3.0, 3.0, 13))
@@ -98,6 +97,9 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must be nonempty")
         if len(self.test_functions) != len(self.regions):
             raise ValueError("need one test function per region")
+        for i, (region, f) in enumerate(zip(self.regions, self.test_functions)):
+            if f.region != region:
+                raise ValueError(f"test function {i} is not supported on region {i}")
         for i in range(len(self.regions)):
             for j in range(i + 1, len(self.regions)):
                 if not self.regions[i].disjoint_from(self.regions[j]):
@@ -356,29 +358,34 @@ class ExperimentReport:
         }
 
 
-def kappa_integral(density: DensitySpec, region: Region) -> float:
-    """Integral of the piecewise-constant density over the region."""
-    total = 0.0
-    for w, dbox in zip(density.weights, density.region.boxes):
-        for rbox in region.boxes:
-            overlap = 1.0
-            for dl, du, rl, ru in zip(dbox.lower, dbox.upper,
-                                      rbox.lower, rbox.upper):
-                overlap *= max(0.0, min(du, ru) - max(dl, rl))
-            total += w * overlap
-    return total
+def _targets(plan: ExperimentPlan) -> list[tuple[float | None, float | None]] | None:
+    """The closed-form limits of each region's scaled mean and variance, or
+    None unless the plan is the directed family on the line.
 
-
-def _targets(plan: ExperimentPlan, index: int) -> tuple[float | None, float | None]:
-    # explicit limits are known for the directed family on the line with an
-    # indicator test function
+    A point at local density kappa has a dilated gap of about Exp(2 kappa),
+    so the limits are E[D^a] J(1-a) and (v_a + delta_a^2) J(1-2a), with
+    J(p) the integral of kappa^p over the region.  Boxes of zero weight hold
+    no points and are skipped (0^p is infinite for p < 0).  They are known
+    for indicator test functions only; other regions get (None, None).
+    """
     if (plan.functional.family != DIRECTED_NN
-            or plan.density.region.dimension != 1
-            or plan.test_functions[index].kind != "indicator"):
-        return None, None
-    integral = kappa_integral(plan.density, plan.regions[index])
+            or plan.density.region.dimension != 1):
+        return None
     alpha = plan.functional.alpha
-    return limiting_mean(alpha, integral), limiting_variance(alpha, integral)
+    pieces = [(w, box.lower[0], box.upper[0])
+              for w, box in zip(plan.density.weights, plan.density.region.boxes)
+              if w > 0.0]
+
+    def integral(region: Region, p: float) -> float:
+        return sum(w ** p * max(0.0, min(hi, box.upper[0]) - max(lo, box.lower[0]))
+                   for w, lo, hi in pieces for box in region.boxes)
+
+    mean_coef = exp_moment(alpha)
+    var_coef = v_alpha(alpha) + delta_alpha_sq(alpha)
+    return [(mean_coef * integral(r, 1.0 - alpha),
+             var_coef * integral(r, 1.0 - 2.0 * alpha))
+            if f.kind == "indicator" else (None, None)
+            for r, f in zip(plan.regions, plan.test_functions)]
 
 
 def _lambda_report(plan: ExperimentPlan, lam: float,
@@ -386,10 +393,9 @@ def _lambda_report(plan: ExperimentPlan, lam: float,
     """Moments, normality diagnostics and correlations of one intensity's
     (replicates x regions) sample matrix."""
     m = len(plan.regions)
-    # the directed statistic on the line also reports its moments divided
-    # by lambda, the scale of the closed-form targets
-    scaled = (plan.functional.family == DIRECTED_NN
-              and plan.density.region.dimension == 1)
+    # where closed-form targets exist (the directed statistic on the line),
+    # the report also gives the moments divided by lambda, their scale
+    targets = _targets(plan)
     summary = estimate_moments(data)
     std = standardize(data, summary)
     corr = np.corrcoef(std, rowvar=False).reshape(m, m)
@@ -398,14 +404,13 @@ def _lambda_report(plan: ExperimentPlan, lam: float,
     regions = []
     for i in range(m):
         mean, se_mean, var, se_var = moments[:, i].tolist()
-        tm, tv = _targets(plan, i)
         regions.append(RegionStats(
             index=i, mean=mean, se_mean=se_mean, var=var, se_var=se_var,
             ks=ks_to_normal(std[:, i]),
-            **({"scaled_mean": mean / lam, "se_scaled_mean": se_mean / lam,
-                "scaled_var": var / lam, "se_scaled_var": se_var / lam}
-               if scaled else {}),
-            target_mean=tm, target_var=tv,
+            **({} if targets is None else {
+                "scaled_mean": mean / lam, "se_scaled_mean": se_mean / lam,
+                "scaled_var": var / lam, "se_scaled_var": se_var / lam,
+                "target_mean": targets[i][0], "target_var": targets[i][1]}),
         ))
     return LambdaReport(
         lam=lam, regions=tuple(regions),
@@ -457,7 +462,9 @@ def directed_nn_experiment(alpha: float, kappas, intervals, lambda_grid,
     ``kappas`` holds one positive constant density value per interval; the
     statistic per region is the intensity-scaled alpha-power edge length, so
     the scaled mean and variance converge to the closed-form limits reported
-    next to each region.
+    next to each region: E[D^alpha] kappa^(1-alpha) |I| and
+    (v_alpha + delta_alpha^2) kappa^(1-2 alpha) |I| on an interval I of
+    density kappa.
     """
     intervals = [tuple(map(float, iv)) for iv in intervals]
     kappas = [float(k) for k in kappas]
@@ -491,7 +498,7 @@ class PoissonBinomialRow:
     poisson_se: float
     binomial_scaled_var: float
     binomial_se: float
-    predicted_excess: float  # delta_alpha^2 * (density integral)^2
+    predicted_excess: float  # delta_alpha^2: unit density on the unit interval
 
     @property
     def excess(self) -> float:
@@ -512,11 +519,15 @@ def compare_poisson_binomial(alphas, lam: float, replicates: int,
     Poisson-excess coefficient.  A Poisson draw with fewer than 2 points is
     redrawn on the replicate's retry streams, as in ``run_replicates``
     (``first_with``); after 3 retries the run aborts with RuntimeError.
+    The binomial draw has round(lam) points, so lam must round to 2 or more.
     """
     alphas = [float(a) for a in alphas]
+    n_points = int(round(lam))
+    if n_points < 2:
+        raise ValueError(f"lam={lam} rounds to {n_points} binomial points; "
+                         f"a nearest neighbour needs at least 2")
     region = Region.interval(0.0, 1.0)
     density = DensitySpec.homogeneous(region)
-    n_points = int(round(lam))
     k = len(alphas)
     # columns: the Poisson region sum per exponent, then the binomial ones
     data = np.empty((replicates, 2 * k))

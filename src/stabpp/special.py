@@ -6,13 +6,16 @@ have explicit expressions in terms of the Euler Gamma function (``math.gamma``;
 every argument here is above 1, since alpha > 0) and the Gauss hypergeometric
 series:
 
-    mean coefficient     2^(-alpha) * Gamma(1 + alpha)
+    mean coefficient     exp_moment(alpha) = 2^(-alpha) * Gamma(1 + alpha)
     variance constant    v_alpha(alpha)          (binomial / fixed-n case)
     Poisson excess       delta_alpha(alpha) = 2^(-alpha) * Gamma(1+alpha) * (1-alpha)
 
-so the per-region limiting variance in the Poisson case is
+For a Poisson process of density kappa the per-region limits are
 
-    v_alpha * I + (delta_alpha * I)^2,   I = integral of the density over the region.
+    mean       exp_moment(alpha) * J(1 - alpha)
+    variance   (v_alpha + delta_alpha^2) * J(1 - 2 alpha),   J(p) = integral of kappa^p
+
+over the region; ``experiments`` computes them for each region of a plan.
 
 The normality checks need the standard normal CDF, ``ndtr``.  It is a numpy
 port of the Cephes ``ndtr``/``erf``/``erfc`` (Moshier, *Methods and Programs
@@ -42,8 +45,6 @@ __all__ = [
     "delta_alpha",
     "delta_alpha_sq",
     "exp_moment",
-    "limiting_mean",
-    "limiting_variance",
     "ndtr",
 ]
 
@@ -143,28 +144,6 @@ def exp_moment(alpha: float) -> float:
         return 1.0
     a = _check_alpha(a)
     return 2.0 ** -a * math.gamma(1.0 + a)
-
-
-def limiting_mean(alpha: float, kappa_integral: float) -> float:
-    """Limit of the scaled per-region mean: 2^(-a) Gamma(1+a) * integral."""
-    a = _check_alpha(alpha)
-    ki = float(kappa_integral)
-    if ki < 0.0:
-        raise ValueError(f"kappa integral must be >= 0, got {ki}")
-    return 2.0 ** -a * math.gamma(1.0 + a) * ki
-
-
-def limiting_variance(alpha: float, kappa_integral: float) -> float:
-    """Limit of the scaled per-region variance in the Poisson case.
-
-    sigma^2 = v_alpha * I + (delta_alpha * I)^2 with I the density integral
-    over the region.
-    """
-    ki = float(kappa_integral)
-    if ki < 0.0:
-        raise ValueError(f"kappa integral must be >= 0, got {ki}")
-    d = delta_alpha(alpha) * ki
-    return v_alpha(alpha) * ki + d * d
 
 
 # ---------------------------------------------------------------------------

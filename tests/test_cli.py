@@ -117,6 +117,17 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", cfg, "--check",
                          "--out", str(tmp_path / "c")]) == 0
 
+    def test_check_passes_on_two_densities(self, tmp_path):
+        # kappa = 2 on [0, 1] and 0.5 on [2, 3]: the targets are
+        # E[D] kappa^0 = 0.5 and v_1 / kappa, not functions of integral(kappa)
+        boxes = [{"lower": [0.0], "upper": [1.0]}, {"lower": [2.0], "upper": [3.0]}]
+        cfg = write_config(tmp_path, base_config(
+            density={"boxes": boxes, "weights": [2.0, 0.5]},
+            regions=[[boxes[0]], [boxes[1]]],
+            lambda_grid=[4000.0], replicates=200))
+        assert cli.main(["simulate", "--config", cfg, "--check",
+                         "--out", str(tmp_path / "c")]) == 0
+
     def test_check_fails_with_tiny_multiplier(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(
             check={"se_multiplier": 1e-6}))

@@ -386,6 +386,17 @@ class TestRunReplicates:
 
     def test_plan_validation(self):
         region = Region.interval(0.0, 1.0)
+        left, right = Region.interval(0.0, 0.5), Region.interval(0.5, 1.0)
+        with pytest.raises(ValueError, match="test function 0"):
+            ex.ExperimentPlan(
+                density=DensitySpec.homogeneous(region),
+                regions=(left,),
+                test_functions=(TestFunctionSpec(region=right),),  # elsewhere
+                functional=FunctionalSpec(family=DIRECTED_NN),
+                lambda_grid=(10.0,),
+                replicates=5,
+                seed=0,
+            )
         with pytest.raises(ValueError):
             ex.ExperimentPlan(
                 density=DensitySpec.homogeneous(region),
@@ -420,12 +431,6 @@ class TestRunReplicates:
 
 
 class TestPipeline:
-    def test_kappa_integral(self):
-        region = Region.from_bounds([((0,), (1,)), ((2,), (3,))])
-        density = DensitySpec(region=region, weights=(2.0, 0.5), normalized=False)
-        assert ex.kappa_integral(density, Region.interval(0.0, 1.0)) == pytest.approx(2.0)
-        assert ex.kappa_integral(density, Region.interval(0.5, 2.5)) == pytest.approx(1.25)
-
     def test_directed_nn_small_run_hits_targets_loosely(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -507,15 +512,82 @@ class TestPipeline:
         assert row.excess == pytest.approx(0.25, abs=4.0 * row.combined_se + 0.02)
 
     def test_small_lambda_fails_fast(self):
-        # almost every draw at lambda = 0.3 has fewer than 2 points; the
-        # retries are bounded, so this raises instead of hanging
+        # lambda = 0.3 rounds to a binomial draw of 0 points: refused before
+        # any draw, naming lam
         started = time.perf_counter()
-        with pytest.raises(RuntimeError, match="retries"):
+        with pytest.raises(ValueError, match="lam=0.3"):
             ex.compare_poisson_binomial([1.0], lam=0.3, replicates=5, seed=0)
         assert time.perf_counter() - started < 1.0
+
+    def test_short_poisson_draws_exhaust_the_retries(self):
+        # at lambda = 1.5 the binomial draw has 2 points, but a Poisson draw
+        # has fewer than 2 with probability 0.56; four such draws in a row
+        # (p ~ 0.1) abort the run instead of hanging
+        with pytest.raises(RuntimeError, match="retries"):
+            ex.compare_poisson_binomial([1.0], lam=1.5, replicates=40, seed=0)
 
     def test_normal_cdf_reference(self):
         # ndtr is the Phi used throughout; pin it against the error function
         from math import erf, sqrt
         for t in (-1.5, 0.0, 0.7):
             assert ndtr(t) == pytest.approx(0.5 * (1 + erf(t / sqrt(2))), rel=1e-15)
+
+
+class TestTargets:
+    """The closed-form targets E[D^a] J(1-a) and (v_a + delta_a^2) J(1-2a),
+    J(p) the integral of kappa^p over the region, as a report gives them."""
+
+    @staticmethod
+    def run(alpha, kappas, intervals, lam, replicates, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = ex.directed_nn_experiment(
+                alpha=alpha, kappas=kappas, intervals=intervals,
+                lambda_grid=[lam], replicates=replicates, seed=seed)
+        return rep.lambda_reports[0].regions
+
+    def test_alpha_3_targets_are_exact(self):
+        # unit density on the unit interval at alpha = 3 (the rate-criterion
+        # plan): 3!/8 and 149/18 + 9/4, to the last bit
+        (rs,) = self.run(3.0, [1.0], [(0.0, 1.0)], 50.0, 5, 1)
+        assert rs.target_mean == 0.75
+        assert rs.target_var == 379.0 / 36.0
+
+    def test_two_densities(self):
+        # kappa = 2 on [0, 1] and 0.5 on [2, 3] at alpha = 2: the means are
+        # kappa^-1 / 2 and the variances (85/108 + 1/4) kappa^-3
+        regions = self.run(2.0, [2.0, 0.5], [(0.0, 1.0), (2.0, 3.0)],
+                           2000.0, 2000, 12)
+        c = 85.0 / 108.0 + 0.25
+        assert [rs.target_mean for rs in regions] == [0.25, 1.0]
+        assert regions[0].target_var == pytest.approx(c / 8.0, rel=1e-12)
+        assert regions[1].target_var == pytest.approx(c * 8.0, rel=1e-12)
+        # the scaled means carry an O(1/(kappa lambda)) boundary bias, about
+        # +0.0005 and +0.005 here; the bands are 4 times that
+        assert abs(regions[0].scaled_mean - 0.25) <= 0.002
+        assert abs(regions[1].scaled_mean - 1.0) <= 0.02
+
+    def test_interval_of_length_2(self):
+        # unit density on [0, 2] at alpha = 2: the variance is additive over
+        # the interval, 2 (v_2 + delta_2^2), not 2 v_2 + (2 delta_2)^2
+        (rs,) = self.run(2.0, [1.0], [(0.0, 2.0)], 1000.0, 4000, 5)
+        target = 2.0 * (85.0 / 108.0 + 0.25)
+        assert rs.target_var == pytest.approx(target, rel=1e-12)
+        assert abs(rs.scaled_var - target) <= 0.25
+
+    def test_zero_weight_box_is_skipped(self):
+        # a region over a box of zero density: kappa^(1-2a) there would be
+        # 0^-3, but the box holds no points and adds nothing
+        support = Region.from_bounds([((0.0,), (1.0,)), ((1.0,), (2.0,))])
+        region = Region.interval(0.0, 2.0)
+        plan = ex.ExperimentPlan(
+            density=DensitySpec(region=support, weights=(1.0, 0.0),
+                                normalized=False),
+            regions=(region,), test_functions=(TestFunctionSpec(region=region),),
+            functional=FunctionalSpec(family=DIRECTED_NN, alpha=2.0),
+            lambda_grid=(50.0,), replicates=5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (rs,) = ex.run_experiment(plan).lambda_reports[0].regions
+        assert rs.target_mean == 0.5
+        assert rs.target_var == pytest.approx(85.0 / 108.0 + 0.25, rel=1e-12)

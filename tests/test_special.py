@@ -125,26 +125,10 @@ class TestDeltaAlpha:
 
 
 class TestLimits:
-    def test_limiting_mean(self):
-        assert sp.limiting_mean(1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
-        assert sp.limiting_mean(2.0, 1.0) == pytest.approx(0.5, rel=1e-14)
-        assert sp.limiting_mean(1.0, 0.0) == 0.0
-
-    def test_limiting_variance(self):
-        assert sp.limiting_variance(1.0, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
-        assert sp.limiting_variance(2.0, 1.0) == pytest.approx(28.0 / 27.0, rel=1e-12)
-        assert sp.limiting_variance(1.0, 0.0) == 0.0
-
     def test_exp_moment(self):
         assert sp.exp_moment(1.0) == pytest.approx(0.5, rel=1e-14)
         assert sp.exp_moment(2.0) == pytest.approx(0.5, rel=1e-14)
         assert sp.exp_moment(0.0) == 1.0
-
-    def test_alpha_3_targets_are_exact(self):
-        # the targets a report prints for unit density on the unit interval
-        # at alpha = 3 (the rate-criterion plan): 3!/8 and 149/18 + 9/4
-        assert sp.limiting_mean(3.0, 1.0) == 0.75
-        assert sp.limiting_variance(3.0, 1.0) == 379.0 / 36.0
 
     def test_v1_consistency_identity(self):
         # binds gamma, the hypergeometric series, and the arithmetic at once

@@ -22,8 +22,8 @@ import sys
 import time
 
 from . import __version__
-from .experiments import (ExperimentPlan, ExperimentReport, above_noise_floor,
-                          fit_rate, run_experiment)
+from .experiments import (ExperimentPlan, ExperimentReport, fit_rate,
+                          run_experiment)
 from .functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
                           TestFunctionSpec, stabilization_probe)
 from .point_process import (DensitySpec, sample_binomial,
@@ -464,6 +464,39 @@ def _cmd_stab_probe(args) -> int:
     return EXIT_OK
 
 
+_REPORT_VALUES = (
+    ("lambda", lambda v: 0.0 < v < math.inf, "a positive finite number"),
+    ("joint_discrepancy", lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]"))
+
+
+def _rate_inputs(doc) -> tuple[list, list, int]:
+    """The intensities, discrepancies and replicate count of a report (its
+    payload, or the document itself), each checked."""
+    payload = doc.get("payload", doc) if isinstance(doc, dict) else None
+    if not isinstance(payload, dict):
+        raise ConfigError("report must be a JSON object")
+    per_lambda = payload.get("per_lambda")
+    if not isinstance(per_lambda, list) or not per_lambda:
+        raise ConfigError("report has no per_lambda block")
+    for i, entry in enumerate(per_lambda):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"per_lambda[{i}] must be a JSON object")
+        for key, ok, kind in _REPORT_VALUES:
+            if key not in entry:
+                raise ConfigError(f'missing required key "{key}" in per_lambda[{i}]')
+            # JSON numbers only: bool is an int, and a string is no number
+            if not (type(entry[key]) in (int, float) and ok(entry[key])):
+                raise ConfigError(
+                    f"per_lambda[{i}].{key} must be {kind}, got {entry[key]!r}")
+    if "replicates" not in payload:
+        raise ConfigError('missing required key "replicates" in report')
+    replicates = payload["replicates"]
+    if not (type(replicates) is int and replicates >= 2):
+        raise ConfigError(f"replicates must be an integer >= 2, got {replicates!r}")
+    return ([entry["lambda"] for entry in per_lambda],
+            [entry["joint_discrepancy"] for entry in per_lambda], replicates)
+
+
 def _cmd_rate(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
@@ -471,19 +504,10 @@ def _cmd_rate(args) -> int:
     except (OSError, json.JSONDecodeError) as err:
         print(f"error: cannot read report {args.report}: {err}", file=sys.stderr)
         return EXIT_USAGE
-    payload = doc.get("payload", doc)
-    per_lambda = payload.get("per_lambda")
-    if not per_lambda:
-        print("error: report has no per_lambda block", file=sys.stderr)
-        return EXIT_USAGE
-    lams = [lr["lambda"] for lr in per_lambda]
-    ds = [lr["joint_discrepancy"] for lr in per_lambda]
-    floor, keep = above_noise_floor(ds, float(payload.get("replicates", 1)))
-    if len(keep) < 3:
-        print(f"error: only {len(keep)} intensities above the noise floor "
-              f"{floor:.4g}; cannot refit", file=sys.stderr)
+    fit, _, note = fit_rate(*_rate_inputs(doc))
+    if fit is None:
+        print(f"error: {note}; cannot refit", file=sys.stderr)
         return EXIT_RUNTIME
-    fit = fit_rate([lams[i] for i in keep], [ds[i] for i in keep])
     out = {"slope": fit.slope, "intercept": fit.intercept,
            "r_squared": fit.r_squared, "lambdas_used": list(fit.lambdas_used)}
     if args.json:

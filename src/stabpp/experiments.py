@@ -56,7 +56,6 @@ __all__ = [
     "ks_to_normal",
     "product_form_discrepancy",
     "fit_rate",
-    "above_noise_floor",
     "run_experiment",
     "directed_nn_experiment",
     "compare_poisson_binomial",
@@ -71,6 +70,15 @@ class DegenerateComponentError(ValueError):
 
 class GridBudgetError(ValueError):
     """The full product grid exceeds the node budget; use a coarser grid."""
+
+
+_GRID_BUDGET = 100_000  # m * g^m nodes: m axes of g thresholds each
+
+
+def _check_grid(m: int, g: int, where: str) -> None:
+    if m * g ** m > _GRID_BUDGET:
+        raise GridBudgetError(f"{where} of {g}^{m} nodes exceeds the budget "
+                              f"{_GRID_BUDGET}; use a coarser grid")
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,16 @@ class ExperimentPlan:
             raise ValueError("lambda_grid must be strictly increasing")
         if np.isnan(self.t_grid).any():
             raise ValueError("t_grid values must not be NaN")
+        _check_grid(len(self.regions), len(self.t_grid), "t_grid")
+        # a region that no positive-weight box meets holds no point, and its
+        # zero statistic cannot be standardized
+        live = Region(self.density.region.dimension,
+                      tuple(b for w, b in zip(self.density.weights,
+                                              self.density.region.boxes) if w > 0.0))
+        for i, region in enumerate(self.regions):
+            if region.disjoint_from(live):
+                raise ValueError(f"regions[{i}] overlaps no density box of "
+                                 f"positive weight")
 
 
 def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec, r: int,
@@ -215,13 +233,13 @@ class JointDiscrepancy:
 
 
 def product_form_discrepancy(standardized: np.ndarray,
-                             t_grid: Sequence[float] | None = None,
-                             budget: int = 100_000) -> JointDiscrepancy:
+                             t_grid: Sequence[float] | None = None
+                             ) -> JointDiscrepancy:
     """Product-form discrepancy of standardized samples on a full grid.
 
     The grid is the m-fold product of the per-axis thresholds (default 13
     points on [-3, 3]); the node count m * |grid|^m must stay within
-    ``budget``.  The joint empirical CDF counts samples per node: each
+    100 000.  The joint empirical CDF counts samples per node: each
     sample is binned at the lowest grid node at or above it on every axis,
     and cumulative sums along the axes give, at each node, the exact count
     of samples at or below it.
@@ -236,9 +254,7 @@ def product_form_discrepancy(standardized: np.ndarray,
     g = len(grid)
     if g == 0:
         raise ValueError("threshold grid must be nonempty")
-    if m * g ** m > budget:
-        raise GridBudgetError(
-            f"grid of {g}^{m} nodes exceeds the budget {budget}; use a coarser grid")
+    _check_grid(m, g, "grid")
     order = np.argsort(grid, kind="stable")
     # per axis, the sorted position of the lowest node >= the sample; g means
     # above every node.  NaN sorts last, and a NaN node's Phi makes its
@@ -275,26 +291,31 @@ class RateFit:
     lambdas_used: tuple[float, ...]
 
 
-def fit_rate(lambdas, discrepancies) -> RateFit:
-    """Fit log D ~ slope * log lambda + intercept; zero discrepancies are dropped."""
+def fit_rate(lambdas, discrepancies, replicates: int
+             ) -> tuple[RateFit | None, tuple[float, ...], str]:
+    """Fit log D ~ slope * log lambda + intercept above the noise floor.
+
+    Intensities whose discrepancy lies below the Monte Carlo noise floor
+    1/sqrt(replicates) are censored, with a warning.  Returns the fit, or
+    None when fewer than 3 intensities remain; the censored intensities; and
+    a note saying why there is no fit ("" when there is one).
+    """
     lams = np.asarray(lambdas, dtype=float)
     ds = np.asarray(discrepancies, dtype=float)
-    keep = ds > 0.0
-    if not keep.all():
-        warnings.warn("dropping zero discrepancies from rate fit", stacklevel=2)
-    lams, ds = lams[keep], ds[keep]
-    if len(lams) < 3:
-        raise ValueError("rate fit needs at least 3 positive (lambda, D) pairs")
-    slope, intercept, r2 = fit_line(np.log(lams), np.log(ds))
-    return RateFit(slope=slope, intercept=intercept, r_squared=r2,
-                   lambdas_used=tuple(float(v) for v in lams))
-
-
-def above_noise_floor(discrepancies, replicates) -> tuple[float, list[int]]:
-    """The Monte Carlo noise floor 1/sqrt(replicates), and the indices of the
-    discrepancies at or above it (the ones a rate fit may use)."""
     floor = 1.0 / np.sqrt(replicates)
-    return floor, [i for i, d in enumerate(discrepancies) if d >= floor]
+    keep = ds >= floor
+    censored = tuple(float(v) for v in lams[~keep])
+    if censored:
+        # stacklevel 3: the line that called run_experiment or the command
+        warnings.warn(f"lambdas {list(censored)} censored from rate fit: "
+                      f"discrepancy below noise floor {floor:.4g}", stacklevel=3)
+    if keep.sum() < 3:
+        return None, censored, (f"only {int(keep.sum())} intensities above the "
+                                f"noise floor {floor:.4g}")
+    slope, intercept, r2 = fit_line(np.log(lams[keep]), np.log(ds[keep]))
+    fit = RateFit(slope=slope, intercept=intercept, r_squared=r2,
+                  lambdas_used=tuple(float(v) for v in lams[keep]))
+    return fit, censored, ""
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +455,16 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
             if progress is not None:
                 progress(lam, reports[-1])
 
-    discrepancies = [lr.joint_discrepancy for lr in reports]
-    floor, keep = above_noise_floor(discrepancies, plan.replicates)
-    censored = tuple(plan.lambda_grid[i] for i in range(len(discrepancies))
-                     if i not in keep)
-    rate = None
-    note = ""
-    if censored:
-        warnings.warn(
-            f"lambdas {list(censored)} censored from rate fit: discrepancy "
-            f"below noise floor {floor:.4g}", stacklevel=2)
-    if len(keep) >= 3:
-        rate = fit_rate([plan.lambda_grid[i] for i in keep],
-                        [discrepancies[i] for i in keep])
-    else:
-        note = (f"rate fit skipped: only {len(keep)} intensities above the "
-                f"noise floor {floor:.4g}")
+    rate, censored, note = fit_rate(
+        plan.lambda_grid, [lr.joint_discrepancy for lr in reports], plan.replicates)
     return ExperimentReport(plan=plan, lambda_reports=tuple(reports),
-                            rate=rate, censored_lambdas=censored, rate_note=note)
+                            rate=rate, censored_lambdas=censored,
+                            rate_note=f"rate fit skipped: {note}" if note else "")
 
 
 def directed_nn_experiment(alpha: float, kappas, intervals, lambda_grid,
-                         replicates: int, seed: int, workers: int = 1,
-                         t_grid=None, progress=None) -> ExperimentReport:
+                         replicates: int, seed: int,
+                         workers: int = 1) -> ExperimentReport:
     """Directed nearest-neighbour verification run on disjoint intervals.
 
     ``kappas`` holds one positive constant density value per interval; the
@@ -483,9 +491,8 @@ def directed_nn_experiment(alpha: float, kappas, intervals, lambda_grid,
         lambda_grid=tuple(lambda_grid),
         replicates=int(replicates),
         seed=int(seed),
-        t_grid=tuple(DEFAULT_T_GRID if t_grid is None else t_grid),
     )
-    return run_experiment(plan, workers=workers, progress=progress)
+    return run_experiment(plan, workers=workers)
 
 
 # ---------------------------------------------------------------------------

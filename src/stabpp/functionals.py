@@ -107,16 +107,6 @@ class TestFunctionSpec:
             object.__setattr__(self, "values",
                                tuple(float(v) for v in self.values))
 
-    def evaluate(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(pts))
-        if self.kind == "indicator":
-            out[self.region.contains(pts)] = 1.0
-            return out
-        for box, v in zip(self.region.boxes, self.values):
-            out[box.contains(pts)] = v
-        return out
-
 
 # ---------------------------------------------------------------------------
 # elementary scores
@@ -222,9 +212,14 @@ def _weighted_sums(config: PointConfiguration, fs: list,
         scores = _incident_half_weights(dilated, nbr, spec.alpha)
     for i, (f, mask) in enumerate(zip(fs, masks)):
         if mask.any():
-            # an indicator is 1 on its region: no second membership test
-            weights = (np.ones(np.count_nonzero(mask)) if f.kind == "indicator"
-                       else f.evaluate(pts[mask]))
+            if f.kind == "indicator":
+                # an indicator is 1 on its region: no second membership test
+                weights = np.ones(np.count_nonzero(mask))
+            else:
+                inside = pts[mask]
+                weights = np.zeros(len(inside))
+                for box, v in zip(f.region.boxes, f.values):
+                    weights[box.contains(inside)] = v
             out[i] = np.dot(scores[mask], weights)
     return out
 

@@ -23,14 +23,9 @@ __all__ = [
     "Box",
     "Region",
     "CubeCover",
-    "EmptyCoverError",
     "covering",
     "packing",
 ]
-
-
-class EmptyCoverError(ValueError):
-    """Covering of a region produced no cubes (only possible for invalid input)."""
 
 
 @dataclass(frozen=True)
@@ -211,8 +206,6 @@ def covering(region: Region, lam: float) -> CubeCover:
     for lo, hi in _scaled_boxes(region, lam):
         ranges = [_center_range(lo[j], hi[j]) for j in range(d)]
         centers.update(itertools.product(*ranges))
-    if not centers:
-        raise EmptyCoverError("covering is empty; region has no volume")
     arr = np.array(sorted(centers), dtype=np.int64).reshape(len(centers), d)
     return CubeCover(centers=arr, count=len(centers), kind="covering")
 

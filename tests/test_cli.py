@@ -298,13 +298,24 @@ class TestBadValues:
          "density"),
         ({"density": {"boxes": [_box([0.0], [math.inf])], "homogeneous": True}},
          "density"),
+        # 4 * 13^4 threshold nodes are over the product-form budget
+        ({"density": {"boxes": [_box([0.0], [4.0])], "weights": [0.25]},
+          "regions": [[_box([i], [i + 1.0])] for i in range(4)]}, "t_grid"),
+        # no point ever falls in the second region
+        ({"regions": [[_box([0.0], [1.0])], [_box([5.0], [6.0])]]},
+         "regions[1]"),
+        ({"density": {"boxes": [_box([0.0], [1.0]), _box([1.0], [2.0])],
+                      "weights": [1.0, 0.0]},
+          "regions": [[_box([0.0], [1.0])], [_box([1.0], [2.0])]]},
+         "regions[1]"),
     ], ids=["bound_not_number", "lower_not_below_upper", "scalar_lower",
             "weight_not_number", "negative_weight", "value_not_number",
             "seed_not_integer", "k_not_integer", "alpha_not_positive",
             "config_not_object", "lambda_grid_decreasing", "one_replicate",
             "regions_overlap", "lambda_negative", "lambda_zero", "lambda_nan",
             "t_grid_nan", "weight_infinite", "bound_infinite",
-            "homogeneous_infinite"])
+            "homogeneous_infinite", "grid_over_budget", "region_outside_density",
+            "region_on_zero_weight"])
     def test_simulate_exits_2_naming_the_key(self, tmp_path, capsys,
                                              overrides, named):
         cfg = (base_config(**{"replicates": 4, **overrides})
@@ -385,6 +396,73 @@ class TestRateCommand:
 
     def test_missing_report_is_usage_error(self, tmp_path):
         assert cli.main(["rate", "--report", str(tmp_path / "nope.json")]) == 2
+
+    @staticmethod
+    def _write_report(tmp_path, doc):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _assert_rejected(self, path, capsys, named):
+        assert cli.main(["rate", "--report", path, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
+    def test_report_not_an_object_exits_2(self, tmp_path, capsys):
+        path = self._write_report(tmp_path, [{"payload": {}}])
+        self._assert_rejected(path, capsys, "report must be a JSON object")
+
+    @pytest.mark.parametrize("entry, payload, named", [
+        ({"lambda": None}, {}, 'key "lambda" in per_lambda[1]'),
+        ({"joint_discrepancy": None}, {},
+         'key "joint_discrepancy" in per_lambda[1]'),
+        ({"lambda": -100.0}, {}, "per_lambda[1].lambda"),
+        ({"lambda": 0.0}, {}, "per_lambda[1].lambda"),
+        ({"lambda": math.inf}, {}, "per_lambda[1].lambda"),
+        ({"joint_discrepancy": 1.5}, {}, "per_lambda[1].joint_discrepancy"),
+        ({"joint_discrepancy": -0.1}, {}, "per_lambda[1].joint_discrepancy"),
+        ({"joint_discrepancy": math.nan}, {}, "per_lambda[1].joint_discrepancy"),
+        ({"joint_discrepancy": "0.05"}, {}, "per_lambda[1].joint_discrepancy"),
+        ({}, {"replicates": None}, '"replicates"'),
+        ({}, {"replicates": 1}, "replicates"),
+        ({}, {"replicates": 2.5}, "replicates"),
+    ], ids=["no_lambda", "no_discrepancy", "lambda_negative", "lambda_zero",
+            "lambda_infinite", "discrepancy_above_1", "discrepancy_negative",
+            "discrepancy_nan", "discrepancy_string", "no_replicates",
+            "one_replicate", "replicates_not_integer"])
+    def test_bad_report_exits_2_naming_the_key(self, tmp_path, capsys,
+                                               entry, payload, named):
+        """Each bad value of a report is a config error naming its key,
+        before any fit; a None value removes the key."""
+        per_lambda = [{"lambda": lam, "joint_discrepancy": 2.0 * lam ** -0.5}
+                      for lam in (100.0, 400.0, 1600.0, 6400.0)]
+        doc = {"replicates": 10_000, "per_lambda": per_lambda}
+        for target, edits in ((per_lambda[1], entry), (doc, payload)):
+            for key, value in edits.items():
+                if value is None:
+                    del target[key]
+                else:
+                    target[key] = value
+        path = self._write_report(tmp_path, {"payload": doc})
+        self._assert_rejected(path, capsys, named)
+
+    def test_refit_equals_the_report_rate_fit(self, tmp_path, capsys):
+        """A simulate report refits to its own rate_fit, censoring included:
+        at 2000 replicates the floor 1/sqrt(2000) censors lambda = 6400."""
+        cfg = write_config(tmp_path, base_config(
+            functional={"family": "nn_directed", "alpha": 3.0},
+            lambda_grid=[100.0, 400.0, 1600.0, 6400.0], replicates=2000, seed=1))
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="censored"):
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())["payload"]
+        assert payload["censored_lambdas"] == [6400.0]
+        assert payload["rate_fit"]["lambdas_used"] == [100.0, 400.0, 1600.0]
+        capsys.readouterr()
+        assert cli.main(["rate", "--report", str(out / "report.json"),
+                         "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload["rate_fit"]
 
 
 def _inline_fit(x, y):

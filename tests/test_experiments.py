@@ -203,29 +203,39 @@ class TestProductForm:
 class TestRateFit:
     def test_exact_power_law(self):
         lams = [1e2, 1e3, 1e4]
-        fit = ex.fit_rate(lams, [lam ** -0.5 for lam in lams])
+        fit, censored, note = ex.fit_rate(lams, [lam ** -0.5 for lam in lams],
+                                          1_000_000)
         assert fit.slope == pytest.approx(-0.5, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0)
+        assert (censored, note) == ((), "")
 
     def test_constant_discrepancy(self):
-        fit = ex.fit_rate([10.0, 100.0, 1000.0], [0.25, 0.25, 0.25])
+        fit, _, _ = ex.fit_rate([10.0, 100.0, 1000.0], [0.25, 0.25, 0.25], 100)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_dropped_with_warning(self):
-        with pytest.warns(UserWarning):
-            fit = ex.fit_rate([10.0, 100.0, 1000.0, 10000.0],
-                              [1.0, 0.1, 0.01, 0.0])
-        assert len(fit.lambdas_used) == 3
+        # a zero discrepancy lies below every noise floor: it is censored
+        with pytest.warns(UserWarning, match="censored"):
+            fit, censored, _ = ex.fit_rate([10.0, 100.0, 1000.0, 10000.0],
+                                           [1.0, 0.1, 0.01, 0.0], 10_000)
+        assert fit.lambdas_used == (10.0, 100.0, 1000.0)
+        assert censored == (10000.0,)
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            with pytest.warns(UserWarning):
-                ex.fit_rate([10.0, 100.0, 1000.0], [0.1, 0.01, 0.0])
+        with pytest.warns(UserWarning):
+            fit, censored, note = ex.fit_rate([10.0, 100.0, 1000.0],
+                                              [0.1, 0.01, 0.0], 100)
+        assert fit is None
+        assert censored == (100.0, 1000.0)
+        assert note == "only 1 intensities above the noise floor 0.1"
 
     def test_noise_floor_keeps_values_at_or_above_it(self):
-        floor, keep = ex.above_noise_floor([0.2, 0.1, 0.05, 0.1], 100)
-        assert floor == 0.1
-        assert keep == [0, 1, 3]
+        # the floor 1/sqrt(100) = 0.1 itself is kept
+        with pytest.warns(UserWarning, match="noise floor 0.1"):
+            fit, censored, _ = ex.fit_rate([10.0, 20.0, 40.0, 80.0],
+                                           [0.2, 0.1, 0.05, 0.1], 100)
+        assert fit.lambdas_used == (10.0, 20.0, 80.0)
+        assert censored == (40.0,)
 
 
 def plain_directed_replicate(plan, lam, r):

@@ -38,18 +38,20 @@ def _finite_sum_2f1(a, b, c, z, n_terms):
 
 
 class TestGauss2F1:
+    """The private series behind v_alpha, on arguments with known sums."""
+
     def test_empty_sum(self):
-        assert sp.gauss_2f1(2.3, -1.7, 0.4, 0.0) == 1.0
+        assert sp._gauss_2f1(2.3, -1.7, 0.4, 0.0) == 1.0
 
     def test_terminating(self):
         # 1 + a b / c * z = 1 - 2/9
-        assert sp.gauss_2f1(-1, 2, 3, 1.0 / 3.0) == pytest.approx(7.0 / 9.0, rel=1e-15)
+        assert sp._gauss_2f1(-1, 2, 3, 1.0 / 3.0) == pytest.approx(7.0 / 9.0, rel=1e-15)
 
     def test_log_identity(self):
         # 2F1(1,1;2;z) = -log(1-z)/z
         z = 1.0 / 3.0
-        assert sp.gauss_2f1(1, 1, 2, z) == pytest.approx(-math.log(1 - z) / z, rel=1e-13)
-        assert sp.gauss_2f1(1, 1, 2, z) == pytest.approx(1.2163953243244932, rel=1e-13)
+        assert sp._gauss_2f1(1, 1, 2, z) == pytest.approx(-math.log(1 - z) / z, rel=1e-13)
+        assert sp._gauss_2f1(1, 1, 2, z) == pytest.approx(1.2163953243244932, rel=1e-13)
 
     @given(
         m=st.integers(min_value=0, max_value=8),
@@ -59,25 +61,12 @@ class TestGauss2F1:
     )
     def test_terminating_equals_finite_sum(self, m, b, c, z):
         # nonpositive-integer a terminates after m+1 terms; identical arithmetic
-        val = sp.gauss_2f1(-float(m), b, c, z)
+        val = sp._gauss_2f1(-float(m), b, c, z)
         assert val == _finite_sum_2f1(-float(m), b, c, z, m)
-
-    def test_pole_error(self):
-        with pytest.raises(sp.PoleError):
-            sp.gauss_2f1(0.5, 1.0, -2.0, 0.1)
 
     def test_pole_avoided_by_termination(self):
         # a = -1 terminates before c = -2 is consumed
-        assert sp.gauss_2f1(-1.0, 1.0, -2.0, 0.5) == pytest.approx(1.0 + 0.5 / 2.0)
-
-    @pytest.mark.parametrize("z", [1.0, -1.0, 1.5])
-    def test_domain_error(self, z):
-        with pytest.raises(ValueError):
-            sp.gauss_2f1(0.5, 0.5, 1.0, z)
-
-    def test_convergence_cap(self):
-        with pytest.raises(sp.ConvergenceError):
-            sp.gauss_2f1(0.5, 0.5, 1.0, 0.999, max_terms=10)
+        assert sp._gauss_2f1(-1.0, 1.0, -2.0, 0.5) == pytest.approx(1.0 + 0.5 / 2.0)
 
 
 class TestVAlpha:
@@ -128,7 +117,8 @@ class TestLimits:
     def test_exp_moment(self):
         assert sp.exp_moment(1.0) == pytest.approx(0.5, rel=1e-14)
         assert sp.exp_moment(2.0) == pytest.approx(0.5, rel=1e-14)
-        assert sp.exp_moment(0.0) == 1.0
+        with pytest.raises(ValueError):
+            sp.exp_moment(0.0)
 
     def test_v1_consistency_identity(self):
         # binds gamma, the hypergeometric series, and the arithmetic at once

@@ -24,8 +24,7 @@ import time
 from . import __version__
 from .experiments import (ExperimentPlan, ExperimentReport, fit_rate,
                           run_experiment)
-from .functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
-                          TestFunctionSpec, stabilization_probe)
+from .functionals import FunctionalSpec, TestFunctionSpec, stabilization_probe
 from .point_process import (DensitySpec, sample_binomial,
                             sample_homogeneous_line, sample_poisson)
 from .regions import Box, Region
@@ -64,14 +63,15 @@ def _require_keys(obj: dict, where: str, required: tuple[str, ...],
 
 
 def _parse_number(value, where: str, cast=float):
+    """A JSON number as ``cast``, in plans and reports alike: a bool or a
+    string is not a number, and an integer key takes an integral float."""
     try:
-        number = cast(value)
-        if cast is int and number != float(value):
-            raise ValueError("not an integer")
-        return number
-    except (TypeError, ValueError, OverflowError) as err:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{where} must be {kind}, got {value!r}") from err
+        if type(value) in (int, float) and (cast is float or value == int(value)):
+            return cast(value)
+    except (ValueError, OverflowError):  # int() of NaN or inf, float() of a huge int
+        pass
+    kind = "an integer" if cast is int else "a number"
+    raise ConfigError(f"{where} must be {kind}, got {value!r}")
 
 
 def _parse_numbers(values, where: str) -> tuple[float, ...]:
@@ -95,20 +95,17 @@ def _seed(config: dict, flag: int | None) -> int:
     return _resolve(flag, seed, _env("SEED", int), 0)
 
 
-def _parse_box(obj: dict, where: str, dimension: int) -> Box:
+def _parse_box(obj: dict, where: str) -> Box:
     _require_keys(obj, where, ("lower", "upper"))
-    lo = _parse_numbers(obj["lower"], f"{where}.lower")
-    hi = _parse_numbers(obj["upper"], f"{where}.upper")
-    if len(lo) != dimension or len(hi) != dimension:
-        raise ConfigError(f"{where}: box bounds must have length {dimension}")
-    return _build(Box, where, lower=lo, upper=hi)
+    return _build(Box, where, lower=_parse_numbers(obj["lower"], f"{where}.lower"),
+                  upper=_parse_numbers(obj["upper"], f"{where}.upper"))
 
 
 def _parse_region(boxes: list, where: str, dimension: int) -> Region:
-    if not isinstance(boxes, list) or not boxes:
-        raise ConfigError(f"{where} must be a nonempty list of boxes")
+    if not isinstance(boxes, list):
+        raise ConfigError(f"{where} must be a list of boxes")
     return _build(Region, where, dimension=dimension,
-                  boxes=tuple(_parse_box(b, f"{where}[{i}]", dimension)
+                  boxes=tuple(_parse_box(b, f"{where}[{i}]")
                               for i, b in enumerate(boxes)))
 
 
@@ -129,26 +126,18 @@ def _parse_density(obj: dict, dimension: int) -> DensitySpec:
 
 def _parse_functional(obj: dict) -> FunctionalSpec:
     _require_keys(obj, "functional", ("family",), ("k", "alpha"))
-    family = obj["family"]
-    if family not in (DIRECTED_NN, KNN_UNDIRECTED):
-        raise ConfigError(
-            f'functional.family must be "{DIRECTED_NN}" or "{KNN_UNDIRECTED}"')
-    return _build(FunctionalSpec, "functional", family=family,
+    return _build(FunctionalSpec, "functional", family=obj["family"],
                   k=_parse_number(obj.get("k", 1), "functional.k", int),
                   alpha=_parse_number(obj.get("alpha", 1.0), "functional.alpha"))
 
 
 def _parse_test_function(obj: dict, region: Region, where: str) -> TestFunctionSpec:
     _require_keys(obj, where, ("kind",), ("values",))
-    kind = obj["kind"]
-    if kind == "indicator":
-        return TestFunctionSpec(region=region)
-    if kind == "piecewise":
-        if "values" not in obj:
-            raise ConfigError(f'missing required key "values" in {where}')
-        return _build(TestFunctionSpec, where, region=region, kind="piecewise",
-                      values=_parse_numbers(obj["values"], f"{where}.values"))
-    raise ConfigError(f'{where}: kind must be "indicator" or "piecewise"')
+    values = obj.get("values")
+    if values is not None:
+        values = _parse_numbers(values, f"{where}.values")
+    return _build(TestFunctionSpec, where, region=region, kind=obj["kind"],
+                  values=values)
 
 
 _TOP_KEYS_REQUIRED = ("dimension", "density", "regions", "functional",
@@ -202,11 +191,19 @@ def _parse_probe_and_check(config: dict) -> tuple[dict | None, float]:
                  "lambda": _parse_number(obj["lambda"], "probe.lambda"),
                  "resamples": _parse_number(obj.get("resamples", 5),
                                             "probe.resamples", int)}
-        if probe["count"] < 1 or probe["resamples"] < 1 or not probe["lambda"] >= 1.0:
-            raise ConfigError("probe needs count >= 1, resamples >= 1 and lambda >= 1")
+        if probe["count"] < 1 or probe["resamples"] < 1:
+            raise ConfigError("probe needs count >= 1 and resamples >= 1")
+        if not 1.0 <= probe["lambda"] < math.inf:
+            raise ConfigError(
+                f"probe.lambda must be finite and >= 1, got {probe['lambda']!r}")
     check = config.get("check", {})
     _require_keys(check, "check", (), ("se_multiplier",))
-    return probe, _parse_number(check.get("se_multiplier", 3.0), "check.se_multiplier")
+    se_multiplier = _parse_number(check.get("se_multiplier", 3.0),
+                                  "check.se_multiplier")
+    if not 0.0 < se_multiplier < math.inf:
+        raise ConfigError(f"check.se_multiplier must be positive and finite, "
+                          f"got {se_multiplier!r}")
+    return probe, se_multiplier
 
 
 def parse_plan(config: dict, seed_override: int | None = None) -> ExperimentPlan:
@@ -226,7 +223,7 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
+        raise ConfigError(f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"malformed JSON in {path}: line {err.lineno} column {err.colno}: "
@@ -315,12 +312,13 @@ def _meta(config: dict, seed: int, started: float) -> dict:
 # subcommands
 
 def _cmd_constants(args) -> int:
-    alphas = [float(a) for a in args.alpha]
-    if any(a <= 0 for a in alphas):
-        print("error: alpha values must be positive", file=sys.stderr)
+    bad = [a for a in args.alpha if not 0.0 < a < math.inf]
+    if bad:
+        print(f"error: --alpha must be positive and finite, got {bad[0]:g}",
+              file=sys.stderr)
         return EXIT_USAGE
     rows = []
-    for a in alphas:
+    for a in args.alpha:
         d = delta_alpha(a)
         rows.append({"alpha": a, "v_alpha": v_alpha(a), "delta_alpha": d,
                      "delta_alpha_sq": d * d, "mean_coeff": exp_moment(a)})
@@ -484,27 +482,20 @@ def _rate_inputs(doc) -> tuple[list, list, int]:
         for key, ok, kind in _REPORT_VALUES:
             if key not in entry:
                 raise ConfigError(f'missing required key "{key}" in per_lambda[{i}]')
-            # JSON numbers only: bool is an int, and a string is no number
-            if not (type(entry[key]) in (int, float) and ok(entry[key])):
+            if not ok(_parse_number(entry[key], f"per_lambda[{i}].{key}")):
                 raise ConfigError(
                     f"per_lambda[{i}].{key} must be {kind}, got {entry[key]!r}")
     if "replicates" not in payload:
         raise ConfigError('missing required key "replicates" in report')
-    replicates = payload["replicates"]
-    if not (type(replicates) is int and replicates >= 2):
+    replicates = _parse_number(payload["replicates"], "replicates", int)
+    if replicates < 2:
         raise ConfigError(f"replicates must be an integer >= 2, got {replicates!r}")
     return ([entry["lambda"] for entry in per_lambda],
             [entry["joint_discrepancy"] for entry in per_lambda], replicates)
 
 
 def _cmd_rate(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot read report {args.report}: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    fit, _, note = fit_rate(*_rate_inputs(doc))
+    fit, _, note = fit_rate(*_rate_inputs(_load_config(args.report)))
     if fit is None:
         print(f"error: {note}; cannot refit", file=sys.stderr)
         return EXIT_RUNTIME

@@ -103,6 +103,11 @@ class ExperimentPlan:
         for name in ("regions", "lambda_grid", "t_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        d = self.density.region.dimension
+        for i, region in enumerate(self.regions):
+            if region.dimension != d:
+                raise ValueError(
+                    f"regions[{i}] is {region.dimension}-d, the density {d}-d")
         if len(self.test_functions) != len(self.regions):
             raise ValueError("need one test function per region")
         for i, (region, f) in enumerate(zip(self.regions, self.test_functions)):
@@ -124,9 +129,8 @@ class ExperimentPlan:
         _check_grid(len(self.regions), len(self.t_grid), "t_grid")
         # a region that no positive-weight box meets holds no point, and its
         # zero statistic cannot be standardized
-        live = Region(self.density.region.dimension,
-                      tuple(b for w, b in zip(self.density.weights,
-                                              self.density.region.boxes) if w > 0.0))
+        live = Region(d, tuple(b for w, b in zip(self.density.weights,
+                                                 self.density.region.boxes) if w > 0.0))
         for i, region in enumerate(self.regions):
             if region.disjoint_from(live):
                 raise ValueError(f"regions[{i}] overlaps no density box of "

@@ -40,12 +40,10 @@ __all__ = [
     "FunctionalSpec",
     "TestFunctionSpec",
     "StabilizationProbeResult",
-    "InsufficientPointsError",
     "nn_distance",
     "xi_knn",
     "xi_directed_nn",
     "l_alpha",
-    "t_statistic",
     "t_vector",
     "stabilization_probe",
     "fit_line",
@@ -53,10 +51,6 @@ __all__ = [
 
 DIRECTED_NN = "nn_directed"
 KNN_UNDIRECTED = "knn_undirected"
-
-
-class InsufficientPointsError(ValueError):
-    """Configuration too small for the requested neighbour computation."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ def nn_distance(x, config: PointConfiguration) -> float:
     pts = config.points
     others = pts[~np.all(pts == x, axis=1)]
     if len(others) < 1:
-        raise InsufficientPointsError("no other point to measure against")
+        raise ValueError("no other point to measure against")
     diff = others - x
     return float(np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff))))
 
@@ -153,9 +147,6 @@ def xi_knn(x, config: PointConfiguration, spec: FunctionalSpec) -> float:
         idx = int(match[0])
     else:
         pts, idx = np.vstack([pts, x]), len(pts)
-    if len(pts) - 1 < spec.k:
-        raise InsufficientPointsError(
-            f"need at least k+1={spec.k + 1} points, got {len(pts)}")
     nbr = neighbors.knn_indices(pts, spec.k)
     return float(_incident_half_weights(pts, nbr, spec.alpha)[idx])
 
@@ -175,8 +166,6 @@ def l_alpha(config: PointConfiguration, gamma: Region, alpha: float) -> float:
     mask = gamma.contains(pts)
     if not mask.any():
         return 0.0
-    if len(pts) < 2:
-        raise InsufficientPointsError("region holds a point but the configuration has no pair")
     d = neighbors.nn_distances(pts, subset=mask)
     return float(np.sum(d[mask] ** float(alpha)))
 
@@ -184,13 +173,14 @@ def l_alpha(config: PointConfiguration, gamma: Region, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # scaled region statistics
 
-def _weighted_sums(config: PointConfiguration, fs: list,
-                   spec: FunctionalSpec) -> np.ndarray:
-    """Per test function f, the sum of dilated scores weighted by f.
+def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> np.ndarray:
+    """Per test function f of the sequence ``fs``, the sum of dilated scores
+    weighted by f.
 
     The configuration is dilated by lambda^(1/d) and scored once for all
     test functions; f is evaluated at the original locations, so only points
-    of f's region contribute.
+    of f's region contribute.  When some region holds a point, fewer points
+    than the neighbour search needs raise its ValueError.
     """
     pts = config.points
     masks = [f.region.contains(pts) for f in fs]
@@ -200,9 +190,6 @@ def _weighted_sums(config: PointConfiguration, fs: list,
         union = union | m
     if not union.any():
         return out
-    if len(pts) < spec.min_points:
-        raise InsufficientPointsError(
-            f"{spec.family} needs at least {spec.min_points} points, got {len(pts)}")
     dilated = pts * spec.lam ** (1.0 / config.dimension)
     if spec.family == DIRECTED_NN:
         scores = neighbors.nn_distances(dilated, subset=union)
@@ -222,30 +209,6 @@ def _weighted_sums(config: PointConfiguration, fs: list,
                     weights[box.contains(inside)] = v
             out[i] = np.dot(scores[mask], weights)
     return out
-
-
-def t_statistic(config: PointConfiguration, f: TestFunctionSpec,
-                spec: FunctionalSpec) -> float:
-    """Scaled region statistic: sum of dilated scores weighted by f.
-
-    The configuration is dilated by lambda^(1/d); f is evaluated at the
-    original locations, so only points of f's region contribute.
-    """
-    return float(_weighted_sums(config, [f], spec)[0])
-
-
-def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> np.ndarray:
-    """Componentwise t_statistic over test functions with disjoint regions.
-
-    The configuration is scored once and the scores are reused for every
-    region.
-    """
-    fs = list(fs)
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if not fs[i].region.disjoint_from(fs[j].region):
-                raise ValueError(f"test-function regions {i} and {j} overlap")
-    return _weighted_sums(config, fs, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,6 @@ def sample_binomial(region: Region, n: int, seed: int, stream: int = 0,
 def sample_homogeneous_line(intensity: float, window: Box,
                             seed: int, stream: int = 0) -> PointConfiguration:
     """Homogeneous Poisson process of the given intensity on a 1-d window."""
-    if window.dimension != 1:
-        raise ValueError("homogeneous line sampling needs a 1-d window")
-    if not intensity > 0.0:
-        raise ValueError("intensity must be positive")
     density = DensitySpec(region=Region(dimension=1, boxes=(window,)),
                           weights=(intensity,), normalized=False)
     return sample_poisson(density, 1.0, seed, stream)

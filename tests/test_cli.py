@@ -59,6 +59,13 @@ class TestConstantsCommand:
     def test_nonpositive_alpha_is_usage_error(self, capsys):
         assert cli.main(["constants", "--alpha", "-2"]) == 2
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_alpha_must_be_finite(self, capsys, alpha):
+        assert cli.main(["constants", "--alpha", "1", alpha]) == 2
+        captured = capsys.readouterr()
+        assert "--alpha" in captured.err
+        assert captured.out == ""
+
 
 class TestSimulateCommand:
     def test_smoke_report_schema(self, tmp_path, capsys):
@@ -259,6 +266,26 @@ class TestSharedBlocks:
                          "--out", str(tmp_path / "s")]) == 2
         assert "check.se_multiplier" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("multiplier", [math.nan, math.inf, 0.0, -1.0])
+    def test_se_multiplier_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                       multiplier):
+        # NaN or inf would pass every check, 0 or -1 fail every one
+        path = write_config(tmp_path, base_config(
+            check={"se_multiplier": multiplier}, replicates=4))
+        assert cli.main(["simulate", "--config", path, "--check",
+                         "--out", str(tmp_path / "s")]) == 2
+        assert "check.se_multiplier" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sample", "stab-probe"])
+    def test_infinite_probe_lambda_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, base_config(
+            probe={"count": 5, "lambda": math.inf}, replicates=4))
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "probe.lambda" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def _box(lower, upper):
     return {"lower": lower, "upper": upper}
@@ -308,6 +335,20 @@ class TestBadValues:
                       "weights": [1.0, 0.0]},
           "regions": [[_box([0.0], [1.0])], [_box([1.0], [2.0])]]},
          "regions[1]"),
+        # a string or a bool is not a number
+        ({"replicates": "20"}, "replicates"),
+        ({"functional": {"family": "nn_directed", "alpha": "1.0"}},
+         "functional.alpha"),
+        ({"lambda_grid": ["50", 100.0]}, "lambda_grid[0]"),
+        ({"functional": {"family": "nn_directed", "alpha": True}},
+         "functional.alpha"),
+        # rules the library types own
+        ({"functional": {"family": "voronoi"}}, "functional"),
+        ({"test_functions": [{"kind": "step"}]}, "test_functions[0]"),
+        ({"test_functions": [{"kind": "piecewise"}]}, "test_functions[0]"),
+        ({"regions": [[_box([0.0, 0.0], [1.0, 1.0])]]}, "regions[0]"),
+        ({"regions": [[_box([0.0], [1.0, 1.0])]]}, "regions[0][0]"),
+        ({"regions": [[]]}, "regions[0]"),
     ], ids=["bound_not_number", "lower_not_below_upper", "scalar_lower",
             "weight_not_number", "negative_weight", "value_not_number",
             "seed_not_integer", "k_not_integer", "alpha_not_positive",
@@ -315,7 +356,10 @@ class TestBadValues:
             "regions_overlap", "lambda_negative", "lambda_zero", "lambda_nan",
             "t_grid_nan", "weight_infinite", "bound_infinite",
             "homogeneous_infinite", "grid_over_budget", "region_outside_density",
-            "region_on_zero_weight"])
+            "region_on_zero_weight", "replicates_string", "alpha_string",
+            "lambda_string", "alpha_bool", "family_unknown", "kind_unknown",
+            "piecewise_without_values", "box_of_other_dimension",
+            "bounds_of_unequal_length", "region_without_boxes"])
     def test_simulate_exits_2_naming_the_key(self, tmp_path, capsys,
                                              overrides, named):
         cfg = (base_config(**{"replicates": 4, **overrides})
@@ -397,6 +441,16 @@ class TestRateCommand:
     def test_missing_report_is_usage_error(self, tmp_path):
         assert cli.main(["rate", "--report", str(tmp_path / "nope.json")]) == 2
 
+    def test_integral_float_replicates_accepted(self, tmp_path, capsys):
+        # the number rule of plans: an integer key takes an integral float
+        payload = {"replicates": 10_000.0,
+                   "per_lambda": [{"lambda": lam, "joint_discrepancy": lam ** -0.5}
+                                  for lam in (100.0, 400.0, 1600.0)]}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"payload": payload}))
+        assert cli.main(["rate", "--report", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["slope"] == pytest.approx(-0.5)
+
     @staticmethod
     def _write_report(tmp_path, doc):
         path = tmp_path / "report.json"
@@ -427,10 +481,13 @@ class TestRateCommand:
         ({}, {"replicates": None}, '"replicates"'),
         ({}, {"replicates": 1}, "replicates"),
         ({}, {"replicates": 2.5}, "replicates"),
+        ({}, {"replicates": True}, "replicates"),
+        ({"lambda": True}, {}, "per_lambda[1].lambda"),
     ], ids=["no_lambda", "no_discrepancy", "lambda_negative", "lambda_zero",
             "lambda_infinite", "discrepancy_above_1", "discrepancy_negative",
             "discrepancy_nan", "discrepancy_string", "no_replicates",
-            "one_replicate", "replicates_not_integer"])
+            "one_replicate", "replicates_not_integer", "replicates_bool",
+            "lambda_bool"])
     def test_bad_report_exits_2_naming_the_key(self, tmp_path, capsys,
                                                entry, payload, named):
         """Each bad value of a report is a config error naming its key,

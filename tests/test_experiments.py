@@ -438,6 +438,17 @@ class TestRunReplicates:
                 fields["test_functions"] = ()
             with pytest.raises(ValueError, match=name):
                 ex.ExperimentPlan(**fields)
+        square = Region.from_bounds([((0.0, 0.0), (1.0, 1.0))])
+        with pytest.raises(ValueError, match=r"regions\[0\] is 2-d, the density 1-d"):
+            ex.ExperimentPlan(
+                density=DensitySpec.homogeneous(region),
+                regions=(square,),  # a 2-d region over a 1-d density
+                test_functions=(TestFunctionSpec(region=square),),
+                functional=FunctionalSpec(family=DIRECTED_NN),
+                lambda_grid=(10.0,),
+                replicates=5,
+                seed=0,
+            )
 
 
 class TestPipeline:

@@ -28,7 +28,7 @@ class TestElementaryScores:
         assert fn.nn_distance([1.0], THREE) == 1.0
 
     def test_nn_distance_needs_other_points(self):
-        with pytest.raises(fn.InsufficientPointsError):
+        with pytest.raises(ValueError):
             fn.nn_distance([0.0], line_config(0))
 
     def test_xi_knn_three_point_graph(self):
@@ -49,7 +49,7 @@ class TestElementaryScores:
         assert fn.l_alpha(THREE, Region.interval(-1.0, 4.0), 1.0) == pytest.approx(4.0)
 
     def test_l_alpha_insufficient(self):
-        with pytest.raises(fn.InsufficientPointsError):
+        with pytest.raises(ValueError):
             fn.l_alpha(line_config(0.5), Region.interval(0.0, 1.0), 1.0)
 
 
@@ -82,18 +82,18 @@ class TestScaledStatistics:
     def test_t_statistic_unscaled(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
-        assert fn.t_statistic(THREE, f, spec) == pytest.approx(4.0)
+        assert fn.t_vector(THREE, [f], spec)[0] == pytest.approx(4.0)
 
     def test_t_statistic_homogeneity_hand_value(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=4.0)
-        assert fn.t_statistic(THREE, f, spec) == pytest.approx(16.0)
+        assert fn.t_vector(THREE, [f], spec)[0] == pytest.approx(16.0)
 
     def test_zero_test_function(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0),
                                 kind="piecewise", values=(0.0,))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=4.0)
-        assert fn.t_statistic(THREE, f, spec) == 0.0
+        assert fn.t_vector(THREE, [f], spec)[0] == 0.0
 
     def test_homogeneity_identity_1d(self):
         # dilating the configuration multiplies the statistic by lambda^alpha
@@ -105,7 +105,7 @@ class TestScaledStatistics:
                 pts = rng.uniform(size=(60, 1))
                 config = PointConfiguration(dimension=1, points=pts)
                 spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=alpha, lam=lam)
-                t = fn.t_statistic(config, f, spec)
+                t = fn.t_vector(config, [f], spec)[0]
                 assert t == pytest.approx(
                     lam ** alpha * fn.l_alpha(config, gamma, alpha), rel=1e-12)
 
@@ -118,10 +118,10 @@ class TestScaledStatistics:
                                            tuple(np.array([0.9, 0.9]) + shift))])
         for family, k in ((fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 2)):
             spec = fn.FunctionalSpec(family=family, k=k, alpha=1.3, lam=25.0)
-            t0 = fn.t_statistic(PointConfiguration(dimension=2, points=pts),
-                                fn.TestFunctionSpec(region=gamma), spec)
-            t1 = fn.t_statistic(PointConfiguration(dimension=2, points=pts + shift),
-                                fn.TestFunctionSpec(region=gamma_shift), spec)
+            t0 = fn.t_vector(PointConfiguration(dimension=2, points=pts),
+                             [fn.TestFunctionSpec(region=gamma)], spec)[0]
+            t1 = fn.t_vector(PointConfiguration(dimension=2, points=pts + shift),
+                             [fn.TestFunctionSpec(region=gamma_shift)], spec)[0]
             assert t1 == pytest.approx(t0, rel=1e-12)
 
     def test_locality(self):
@@ -139,7 +139,7 @@ class TestScaledStatistics:
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
         vec = fn.t_vector(THREE, [f], spec)
-        assert vec.tolist() == [fn.t_statistic(THREE, f, spec)]
+        assert vec.tolist() == [fn.l_alpha(THREE, f.region, 1.0)]
 
     @pytest.mark.parametrize("family,k", [(fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 3)])
     def test_t_vector_matches_per_region_statistics(self, family, k):
@@ -151,7 +151,7 @@ class TestScaledStatistics:
                                   kind="piecewise", values=(-2.0,)),
               fn.TestFunctionSpec(region=Region.from_bounds([((5.0, 5.0), (6.0, 6.0))]))]
         spec = fn.FunctionalSpec(family=family, k=k, alpha=1.5, lam=300.0)
-        expected = [fn.t_statistic(config, f, spec) for f in fs]
+        expected = [fn.t_vector(config, [f], spec)[0] for f in fs]
         assert fn.t_vector(config, fs, spec).tolist() == expected
         assert expected[0] > 0.0 and expected[1] < 0.0 and expected[2] == 0.0
 
@@ -161,13 +161,6 @@ class TestScaledStatistics:
               fn.TestFunctionSpec(region=Region.interval(2.0, 3.0))]
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
         assert fn.t_vector(empty, fs, spec).tolist() == [0.0, 0.0]
-
-    def test_t_vector_rejects_overlap(self):
-        fs = [fn.TestFunctionSpec(region=Region.interval(0.0, 2.0)),
-              fn.TestFunctionSpec(region=Region.interval(1.0, 3.0))]
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
-        with pytest.raises(ValueError):
-            fn.t_vector(THREE, fs, spec)
 
     def test_far_separated_regions_decompose(self):
         # gap far exceeds every nearest-neighbour distance, so the joint
@@ -180,10 +173,10 @@ class TestScaledStatistics:
               fn.TestFunctionSpec(region=Region.interval(100.0, 101.0))]
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=9.0)
         vec = fn.t_vector(both, fs, spec)
-        t_left = fn.t_statistic(PointConfiguration(dimension=1, points=left),
-                                fs[0], spec)
-        t_right = fn.t_statistic(PointConfiguration(dimension=1, points=right),
-                                 fs[1], spec)
+        t_left = fn.t_vector(PointConfiguration(dimension=1, points=left),
+                             fs[:1], spec)[0]
+        t_right = fn.t_vector(PointConfiguration(dimension=1, points=right),
+                              fs[1:], spec)[0]
         assert vec[0] == pytest.approx(t_left, rel=1e-12)
         assert vec[1] == pytest.approx(t_right, rel=1e-12)
 
@@ -264,5 +257,5 @@ class TestSpecValidation:
     def test_insufficient_points_for_t(self):
         f = fn.TestFunctionSpec(region=Region.interval(0.0, 1.0))
         spec = fn.FunctionalSpec(family=fn.KNN_UNDIRECTED, k=3, alpha=1.0, lam=1.0)
-        with pytest.raises(fn.InsufficientPointsError):
-            fn.t_statistic(line_config(0.5, 0.6), f, spec)
+        with pytest.raises(ValueError):
+            fn.t_vector(line_config(0.5, 0.6), [f], spec)

@@ -113,7 +113,11 @@ def _parse_density(obj: dict, dimension: int) -> DensitySpec:
     _require_keys(obj, "density", ("boxes",),
                   ("weights", "homogeneous", "normalized"))
     region = _parse_region(obj["boxes"], "density.boxes", dimension)
-    if obj.get("homogeneous", False):
+    flags = {key: obj.get(key, False) for key in ("homogeneous", "normalized")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):  # "false" would read as true
+            raise ConfigError(f"density.{key} must be true or false, got {value!r}")
+    if flags["homogeneous"]:
         if "weights" in obj:
             raise ConfigError('density: "homogeneous" and "weights" conflict')
         return _build(DensitySpec.homogeneous, "density", region=region)
@@ -121,7 +125,7 @@ def _parse_density(obj: dict, dimension: int) -> DensitySpec:
         raise ConfigError('missing required key "weights" in density')
     return _build(DensitySpec, "density.weights", region=region,
                   weights=_parse_numbers(obj["weights"], "density.weights"),
-                  normalized=bool(obj.get("normalized", False)))
+                  normalized=flags["normalized"])
 
 
 def _parse_functional(obj: dict) -> FunctionalSpec:

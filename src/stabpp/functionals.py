@@ -40,10 +40,6 @@ __all__ = [
     "FunctionalSpec",
     "TestFunctionSpec",
     "StabilizationProbeResult",
-    "nn_distance",
-    "xi_knn",
-    "xi_directed_nn",
-    "l_alpha",
     "t_vector",
     "stabilization_probe",
     "fit_line",
@@ -69,8 +65,8 @@ class FunctionalSpec:
             raise ValueError("k must be >= 1")
         if self.family == DIRECTED_NN and self.k != 1:
             raise ValueError("directed nearest-neighbour functional fixes k = 1")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be > 0")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError("alpha must be > 0 and finite")
         if not self.lam > 0.0:
             raise ValueError("lambda must be > 0")
 
@@ -100,24 +96,12 @@ class TestFunctionSpec:
                 raise ValueError("piecewise test function needs one value per box")
             object.__setattr__(self, "values",
                                tuple(float(v) for v in self.values))
+        elif self.values is not None:
+            raise ValueError("an indicator test function takes no values")
 
 
 # ---------------------------------------------------------------------------
-# elementary scores
-
-def nn_distance(x, config: PointConfiguration) -> float:
-    """Euclidean distance from x to its nearest neighbour in the configuration.
-
-    x itself (by exact coordinate equality) is excluded if present.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pts = config.points
-    others = pts[~np.all(pts == x, axis=1)]
-    if len(others) < 1:
-        raise ValueError("no other point to measure against")
-    diff = others - x
-    return float(np.sqrt(np.min(np.einsum("ij,ij->i", diff, diff))))
-
+# scores
 
 def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
                            alpha: float) -> np.ndarray:
@@ -138,36 +122,17 @@ def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
     return xi
 
 
-def xi_knn(x, config: PointConfiguration, spec: FunctionalSpec) -> float:
-    """Score of x under the undirected kNN family (x inserted if absent)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    pts = config.points
-    match = np.flatnonzero(np.all(pts == x, axis=1))
-    if len(match):
-        idx = int(match[0])
-    else:
-        pts, idx = np.vstack([pts, x]), len(pts)
-    nbr = neighbors.knn_indices(pts, spec.k)
-    return float(_incident_half_weights(pts, nbr, spec.alpha)[idx])
-
-
-def xi_directed_nn(x, config: PointConfiguration, alpha: float) -> float:
-    """Score of x under the directed family: nearest-neighbour distance ^ alpha."""
-    return nn_distance(x, config) ** float(alpha)
-
-
-def l_alpha(config: PointConfiguration, gamma: Region, alpha: float) -> float:
-    """Sum of alpha-power nearest-neighbour distances over points in the region.
-
-    Neighbours are searched in the whole configuration; an empty intersection
-    with the region gives 0.
-    """
-    pts = config.points
-    mask = gamma.contains(pts)
-    if not mask.any():
-        return 0.0
-    d = neighbors.nn_distances(pts, subset=mask)
-    return float(np.sum(d[mask] ** float(alpha)))
+def _scores(dilated: np.ndarray, spec: FunctionalSpec,
+            rows: np.ndarray) -> np.ndarray:
+    """The scores of the dilated points, for the region statistics and the
+    probe alike: the directed family scores only the rows of the boolean
+    mask ``rows`` (NaN elsewhere), the kNN family every point."""
+    if spec.family == DIRECTED_NN:
+        scores = neighbors.nn_distances(dilated, subset=rows)
+        scores **= spec.alpha
+        return scores
+    nbr = neighbors.knn_indices(dilated, spec.k)
+    return _incident_half_weights(dilated, nbr, spec.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +155,7 @@ def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> np.ndarray
         union = union | m
     if not union.any():
         return out
-    dilated = pts * spec.lam ** (1.0 / config.dimension)
-    if spec.family == DIRECTED_NN:
-        scores = neighbors.nn_distances(dilated, subset=union)
-        scores **= spec.alpha
-    else:
-        nbr = neighbors.knn_indices(dilated, spec.k)
-        scores = _incident_half_weights(dilated, nbr, spec.alpha)
+    scores = _scores(pts * spec.lam ** (1.0 / config.dimension), spec, union)
     for i, (f, mask) in enumerate(zip(fs, masks)):
         if mask.any():
             if f.kind == "indicator":
@@ -242,12 +201,11 @@ class StabilizationProbeResult:
 
 def _xi_at(x: np.ndarray, points: np.ndarray, spec: FunctionalSpec,
            dimension: int) -> float:
-    """The score of x among the points, both dilated by lambda^(1/d)."""
-    scale = spec.lam ** (1.0 / dimension)
-    dilated = PointConfiguration(dimension=dimension, points=points * scale)
-    if spec.family == DIRECTED_NN:
-        return xi_directed_nn(x * scale, dilated, spec.alpha)
-    return xi_knn(x * scale, dilated, spec)
+    """The score of x added to the points as their last row, all dilated by
+    lambda^(1/d)."""
+    dilated = np.vstack([points, x]) * spec.lam ** (1.0 / dimension)
+    last = np.arange(len(dilated)) == len(points)
+    return float(_scores(dilated, spec, last)[-1])
 
 
 _PROBE_REL_TOL = 1e-12  # a score counts as unchanged within this relative gap

@@ -192,6 +192,9 @@ def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.nda
     With ``subset`` (a boolean mask) only those rows are filled; the rest are
     NaN.  Neighbours are always searched in the full configuration.
 
+    A one-row subset is one pass of the oracle's formula, no sort or grid, so
+    its distance is the oracle's; it refuses the points only if a distance it
+    computes is not finite, the grid whenever their span overflows.
     In one dimension the nearest neighbour is adjacent in sorted order.  The
     sort need not be stable: equal coordinates form one contiguous run of the
     sorted array and each member of the run is at distance 0 from a
@@ -201,6 +204,15 @@ def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.nda
     n, d = pts.shape
     if n < 2:
         raise ValueError("need at least 2 points")
+    if subset is not None and np.count_nonzero(subset) == 1:
+        i = int(subset.argmax())
+        dist = _pair_dists(pts, pts[i])
+        if not np.isfinite(dist).all():
+            _check_span(pts)  # raises: a coordinate or the span is not finite
+        dist[i] = np.inf
+        out = np.full(n, np.nan)
+        out[i] = dist.min()
+        return out
     if d == 1:
         x = pts[:, 0]
         order = np.argsort(x)

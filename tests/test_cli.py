@@ -349,6 +349,15 @@ class TestBadValues:
         ({"regions": [[_box([0.0, 0.0], [1.0, 1.0])]]}, "regions[0]"),
         ({"regions": [[_box([0.0], [1.0, 1.0])]]}, "regions[0][0]"),
         ({"regions": [[]]}, "regions[0]"),
+        ({"test_functions": [{"kind": "indicator", "values": [5.0, 7.0]}]},
+         "test_functions[0]"),
+        ({"functional": {"family": "nn_directed", "alpha": math.inf}},
+         "functional: alpha"),
+        # a JSON string is not a boolean, whatever it says
+        ({"density": {"boxes": [_box([0.0], [1.0])], "homogeneous": "false"}},
+         "density.homogeneous"),
+        ({"density": {"boxes": [_box([0.0], [1.0])], "weights": [3.0],
+                      "normalized": "false"}}, "density.normalized"),
     ], ids=["bound_not_number", "lower_not_below_upper", "scalar_lower",
             "weight_not_number", "negative_weight", "value_not_number",
             "seed_not_integer", "k_not_integer", "alpha_not_positive",
@@ -359,7 +368,9 @@ class TestBadValues:
             "region_on_zero_weight", "replicates_string", "alpha_string",
             "lambda_string", "alpha_bool", "family_unknown", "kind_unknown",
             "piecewise_without_values", "box_of_other_dimension",
-            "bounds_of_unequal_length", "region_without_boxes"])
+            "bounds_of_unequal_length", "region_without_boxes",
+            "indicator_with_values", "alpha_infinite", "homogeneous_string",
+            "normalized_string"])
     def test_simulate_exits_2_naming_the_key(self, tmp_path, capsys,
                                              overrides, named):
         cfg = (base_config(**{"replicates": 4, **overrides})

@@ -20,37 +20,83 @@ def line_config(*values):
 THREE = line_config(0, 1, 3)
 
 
+def unscaled(config, region, spec):
+    """The region's statistic at lambda = 1: the plain sum of the scores of
+    its points."""
+    return fn.t_vector(config, [fn.TestFunctionSpec(region=region)],
+                       spec.with_lambda(1.0))[0]
+
+
+def directed_sum(points, region, alpha):
+    """Sum of alpha-power nearest-neighbour distances over the region's
+    points, by brute force: an oracle that shares no code with t_vector."""
+    pts = np.asarray(points, dtype=float)
+    total = 0.0
+    for i in np.flatnonzero(region.contains(pts)):
+        d2 = np.sum((np.delete(pts, i, axis=0) - pts[i]) ** 2, axis=1)
+        total += math.sqrt(d2.min()) ** alpha
+    return total
+
+
+DIRECTED = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+
+
 class TestElementaryScores:
+    # scores of single points, read off the statistic of an indicator region
+    # around each point
     def test_nn_distance(self):
-        assert fn.nn_distance([0.0], THREE) == 1.0
-        assert fn.nn_distance([3.0], THREE) == 2.0
+        assert unscaled(THREE, Region.interval(-0.5, 0.5), DIRECTED) == 1.0
+        assert unscaled(THREE, Region.interval(2.5, 3.5), DIRECTED) == 2.0
         # tie with 0 at distance 1; value unambiguous
-        assert fn.nn_distance([1.0], THREE) == 1.0
+        assert unscaled(THREE, Region.interval(0.5, 1.5), DIRECTED) == 1.0
 
     def test_nn_distance_needs_other_points(self):
+        # the probe's score of x among no other point
         with pytest.raises(ValueError):
-            fn.nn_distance([0.0], line_config(0))
+            fn._xi_at(np.array([0.0]), np.empty((0, 1)), DIRECTED, 1)
 
     def test_xi_knn_three_point_graph(self):
         spec = fn.FunctionalSpec(family=fn.KNN_UNDIRECTED, k=1, alpha=1.0)
-        assert fn.xi_knn([1.0], THREE, spec) == pytest.approx(1.5)
-        assert fn.xi_knn([0.0], THREE, spec) == pytest.approx(0.5)
-        total = sum(fn.xi_knn([v], THREE, spec) for v in (0.0, 1.0, 3.0))
-        assert total == pytest.approx(3.0)  # total edge length of the graph
+        assert unscaled(THREE, Region.interval(0.5, 1.5), spec) == pytest.approx(1.5)
+        assert unscaled(THREE, Region.interval(-0.5, 0.5), spec) == pytest.approx(0.5)
+        # total edge length of the graph
+        assert unscaled(THREE, Region.interval(-1.0, 4.0), spec) == pytest.approx(3.0)
 
     def test_xi_directed(self):
-        assert fn.xi_directed_nn([0.0], THREE, 1.0) == 1.0
-        assert fn.xi_directed_nn([3.0], THREE, 2.0) == 4.0
-        assert fn.xi_directed_nn([3.0], THREE, 0.5) == pytest.approx(math.sqrt(2.0))
+        at_3 = Region.interval(2.5, 3.5)
+        assert unscaled(THREE, Region.interval(-0.5, 0.5), DIRECTED) == 1.0
+        assert unscaled(THREE, at_3, fn.FunctionalSpec(alpha=2.0)) == 4.0
+        assert unscaled(THREE, at_3, fn.FunctionalSpec(alpha=0.5)) == pytest.approx(
+            math.sqrt(2.0))
 
     def test_l_alpha(self):
-        assert fn.l_alpha(THREE, Region.interval(-0.5, 2.0), 1.0) == pytest.approx(2.0)
-        assert fn.l_alpha(THREE, Region.interval(10.0, 11.0), 1.0) == 0.0
-        assert fn.l_alpha(THREE, Region.interval(-1.0, 4.0), 1.0) == pytest.approx(4.0)
+        assert unscaled(THREE, Region.interval(-0.5, 2.0), DIRECTED) == pytest.approx(2.0)
+        assert unscaled(THREE, Region.interval(10.0, 11.0), DIRECTED) == 0.0
+        assert unscaled(THREE, Region.interval(-1.0, 4.0), DIRECTED) == pytest.approx(4.0)
 
     def test_l_alpha_insufficient(self):
         with pytest.raises(ValueError):
-            fn.l_alpha(line_config(0.5), Region.interval(0.0, 1.0), 1.0)
+            unscaled(line_config(0.5), Region.interval(0.0, 1.0), DIRECTED)
+
+    @pytest.mark.parametrize("family", [fn.DIRECTED_NN, fn.KNN_UNDIRECTED])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_probe_score_is_the_engines_score(self, family, d):
+        # the probe's score of x is the last-row score of the region
+        # statistics' scoring of the points with x appended, on the grid path
+        # (every row scored) in d >= 2 and the sort path in d = 1
+        rng = np.random.default_rng(30 + d)
+        for trial in range(40):
+            n = int(rng.integers(4, 120))
+            k = 1 if family == fn.DIRECTED_NN else int(rng.integers(1, 4))
+            spec = fn.FunctionalSpec(family=family, k=k,
+                                     alpha=float(rng.uniform(0.3, 3.0)),
+                                     lam=float(rng.uniform(1.0, 500.0)))
+            pts = rng.uniform(size=(n, d))
+            x = rng.uniform(size=d)
+            dilated = np.vstack([pts, x]) * spec.lam ** (1.0 / d)
+            every = np.ones(n + 1, dtype=bool)
+            want = fn._scores(dilated, spec, every)[-1]
+            assert fn._xi_at(x, pts, spec, d) == want
 
 
 class TestHalfSumIdentity:
@@ -66,7 +112,9 @@ class TestHalfSumIdentity:
             pts = rng.uniform(size=(n, d))
             config = PointConfiguration(dimension=d, points=pts)
             spec = fn.FunctionalSpec(family=fn.KNN_UNDIRECTED, k=k, alpha=alpha)
-            total = math.fsum(fn.xi_knn(pts[i], config, spec) for i in range(n))
+            # a box covering every point: the statistic sums all the scores
+            cover = Region.from_bounds([((-1.0,) * d, (2.0,) * d)])
+            total = unscaled(config, cover, spec)
             # independent edge-list total from the neighbour matrix
             nbr = knn_indices(pts, k)
             edges = set()
@@ -107,7 +155,7 @@ class TestScaledStatistics:
                 spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=alpha, lam=lam)
                 t = fn.t_vector(config, [f], spec)[0]
                 assert t == pytest.approx(
-                    lam ** alpha * fn.l_alpha(config, gamma, alpha), rel=1e-12)
+                    lam ** alpha * directed_sum(pts, gamma, alpha), rel=1e-12)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(8)
@@ -130,16 +178,17 @@ class TestScaledStatistics:
         rng = np.random.default_rng(4)
         pts = rng.uniform(size=(40, 1))
         gamma = Region.interval(0.0, 1.0)
-        before = fn.l_alpha(PointConfiguration(dimension=1, points=pts), gamma, 1.5)
+        spec = fn.FunctionalSpec(alpha=1.5)
+        before = unscaled(PointConfiguration(dimension=1, points=pts), gamma, spec)
         extended = np.vstack([pts, [[50.0]]])
-        after = fn.l_alpha(PointConfiguration(dimension=1, points=extended), gamma, 1.5)
+        after = unscaled(PointConfiguration(dimension=1, points=extended), gamma, spec)
         assert after == before
 
     def test_t_vector_single_region(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
         vec = fn.t_vector(THREE, [f], spec)
-        assert vec.tolist() == [fn.l_alpha(THREE, f.region, 1.0)]
+        assert vec.tolist() == [directed_sum(THREE.points, f.region, 1.0)]
 
     @pytest.mark.parametrize("family,k", [(fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 3)])
     def test_t_vector_matches_per_region_statistics(self, family, k):

@@ -113,10 +113,13 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             nb.knn_indices(np.zeros((3, 2)), 3)
 
-    @pytest.mark.parametrize("search", [nb.knn_indices, nb.brute_force_knn])
+    @pytest.mark.parametrize("search", [
+        nb.knn_indices, nb.brute_force_knn,
+        lambda pts, k: nb.nn_distances(pts, subset=np.arange(len(pts)) == 1)],
+        ids=["knn_indices", "brute_force_knn", "nn_distances_one_row"])
     def test_overflowing_distances_rejected(self, search):
         # finite coordinates whose squared differences overflow to inf: no
-        # distance can be compared, so both searches refuse the input
+        # distance can be compared, so every search refuses the input
         pts = np.array([[0.0, 0.0], [1e200, 1e200], [2e200, 0.0], [3e200, 1.0]])
         with pytest.raises(ValueError, match="squared distances overflow"):
             search(pts, 2)
@@ -132,17 +135,22 @@ class TestNNDistances:
         expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         assert np.array_equal(nb.nn_distances(pts), expected)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_subset_matches_brute_force(self, d):
         rng = np.random.default_rng(70 + d)
         pts = rng.integers(0, 50, size=(2000, d)) * 0.1
-        mask = rng.uniform(size=2000) < 0.3
         nn = nb.brute_force_knn(pts, 1)[:, 0]
         diff = pts - pts[nn]
         expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        out = nb.nn_distances(pts, subset=mask)
-        assert np.array_equal(out[mask], expected[mask])
-        assert np.all(np.isnan(out[~mask]))
+        # a mask of one row takes the one-query pass: rows with and without
+        # a duplicate, and the first and last rows
+        masks = [rng.uniform(size=2000) < 0.3]
+        for row in (0, 1999, int(np.argmin(expected)), int(np.argmax(expected))):
+            masks.append(np.arange(2000) == row)
+        for mask in masks:
+            out = nb.nn_distances(pts, subset=mask)
+            assert np.array_equal(out[mask], expected[mask])
+            assert np.all(np.isnan(out[~mask]))
 
     def test_subset_mask(self):
         rng = np.random.default_rng(1)

@@ -165,15 +165,17 @@ def _parse_plan_fields(config: dict) -> dict:
     fields = {
         "density": _parse_density(config["density"], dimension),
         "functional": _parse_functional(config["functional"]),
-        "regions": tuple(_parse_region(r, f"regions[{i}]", dimension)
-                         for i, r in enumerate(regions)),
     }
     tf_cfg = config.get("test_functions", [{"kind": "indicator"}] * len(regions))
-    if not isinstance(tf_cfg, list) or len(tf_cfg) != len(regions):
-        raise ConfigError("need one test function per region")
+    if not isinstance(tf_cfg, list):
+        raise ConfigError("test_functions must be a list of test functions")
+    if len(tf_cfg) != len(regions):
+        raise ConfigError(f"test_functions has {len(tf_cfg)} entries for "
+                          f"{len(regions)} regions")
     fields["test_functions"] = tuple(
-        _parse_test_function(o, r, f"test_functions[{i}]")
-        for i, (o, r) in enumerate(zip(tf_cfg, fields["regions"])))
+        _parse_test_function(o, _parse_region(r, f"regions[{i}]", dimension),
+                             f"test_functions[{i}]")
+        for i, (o, r) in enumerate(zip(tf_cfg, regions)))
     for key in ("lambda_grid", "t_grid"):
         if key in config:
             fields[key] = _parse_numbers(config[key], key)
@@ -381,7 +383,7 @@ def _run_check(report: ExperimentReport, multiplier: float) -> list[str]:
     failures = []
     last = report.lambda_reports[-1]
     for rs in last.regions:
-        if rs.target_mean is None or rs.scaled_mean is None:
+        if rs.target_mean is None:
             continue
         if abs(rs.scaled_mean - rs.target_mean) > multiplier * rs.se_scaled_mean:
             failures.append(

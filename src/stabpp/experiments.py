@@ -57,7 +57,6 @@ __all__ = [
     "product_form_discrepancy",
     "fit_rate",
     "run_experiment",
-    "directed_nn_experiment",
     "compare_poisson_binomial",
 ]
 
@@ -83,10 +82,12 @@ def _check_grid(m: int, g: int, where: str) -> None:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything needed to reproduce one family of Monte Carlo runs."""
+    """Everything needed to reproduce one family of Monte Carlo runs.
+
+    Each region lives once, as the support of its test function.
+    """
 
     density: DensitySpec
-    regions: tuple[Region, ...]
     test_functions: tuple[TestFunctionSpec, ...]
     functional: FunctionalSpec
     lambda_grid: tuple[float, ...]
@@ -94,28 +95,27 @@ class ExperimentPlan:
     seed: int
     t_grid: tuple[float, ...] = DEFAULT_T_GRID
 
+    @property
+    def regions(self) -> tuple[Region, ...]:
+        return tuple(f.region for f in self.test_functions)
+
     def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "test_functions", tuple(self.test_functions))
         object.__setattr__(self, "lambda_grid",
                            tuple(float(v) for v in self.lambda_grid))
         object.__setattr__(self, "t_grid", tuple(float(v) for v in self.t_grid))
-        for name in ("regions", "lambda_grid", "t_grid"):
+        for name in ("test_functions", "lambda_grid", "t_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        regions = self.regions
         d = self.density.region.dimension
-        for i, region in enumerate(self.regions):
+        for i, region in enumerate(regions):
             if region.dimension != d:
                 raise ValueError(
                     f"regions[{i}] is {region.dimension}-d, the density {d}-d")
-        if len(self.test_functions) != len(self.regions):
-            raise ValueError("need one test function per region")
-        for i, (region, f) in enumerate(zip(self.regions, self.test_functions)):
-            if f.region != region:
-                raise ValueError(f"test function {i} is not supported on region {i}")
-        for i in range(len(self.regions)):
-            for j in range(i + 1, len(self.regions)):
-                if not self.regions[i].disjoint_from(self.regions[j]):
+        for i in range(len(regions)):
+            for j in range(i + 1, len(regions)):
+                if not regions[i].disjoint_from(regions[j]):
                     raise ValueError(f"regions {i} and {j} overlap")
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
@@ -126,12 +126,12 @@ class ExperimentPlan:
             raise ValueError("lambda_grid must be strictly increasing")
         if np.isnan(self.t_grid).any():
             raise ValueError("t_grid values must not be NaN")
-        _check_grid(len(self.regions), len(self.t_grid), "t_grid")
+        _check_grid(len(regions), len(self.t_grid), "t_grid")
         # a region that no positive-weight box meets holds no point, and its
         # zero statistic cannot be standardized
         live = Region(d, tuple(b for w, b in zip(self.density.weights,
                                                  self.density.region.boxes) if w > 0.0))
-        for i, region in enumerate(self.regions):
+        for i, region in enumerate(regions):
             if region.disjoint_from(live):
                 raise ValueError(f"regions[{i}] overlaps no density box of "
                                  f"positive weight")
@@ -163,18 +163,15 @@ def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
     """The (replicates x regions) statistic matrix at one intensity, in
     replicate order.
 
-    Serially all replicates form one block; with a process pool they go to
-    it in 4 * workers contiguous blocks.  The matrix does not depend on the
-    pool or the worker count.
+    The replicates go in 4 * workers contiguous blocks, to the process pool
+    when one is given and one after another otherwise.  The matrix does not
+    depend on the pool or the worker count.
     """
-    n = plan.replicates
     spec = plan.functional.with_lambda(lam)
-    if pool is None:
-        data = _replicate_chunk((plan, spec, range(n)))
-    else:
-        chunks = [c for c in np.array_split(np.arange(n), 4 * workers) if len(c)]
-        data = np.concatenate(list(pool.map(_replicate_chunk,
-                                            [(plan, spec, c) for c in chunks])))
+    chunks = [c for c in np.array_split(np.arange(plan.replicates), 4 * workers)
+              if len(c)]
+    data = np.concatenate(list((map if pool is None else pool.map)(
+        _replicate_chunk, [(plan, spec, c) for c in chunks])))
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite statistic at lambda={lam}")
     return data
@@ -187,24 +184,22 @@ class EstimatorSummary:
     n: int
     mean: np.ndarray
     var: np.ndarray            # unbiased
-    cov: np.ndarray
     se_mean: np.ndarray
     se_var: np.ndarray         # fourth-central-moment formula
 
 
 def estimate_moments(data: np.ndarray) -> EstimatorSummary:
-    """Mean vector, unbiased covariance, and standard errors of mean and
-    variance, per column."""
+    """Mean, unbiased variance, and standard errors of mean and variance, per
+    column."""
     n = len(data)
     if n < 2:
         raise ValueError("need at least 2 samples")
     mean = data.mean(axis=0)
     centred = data - mean
-    cov = centred.T @ centred / (n - 1)
-    var = np.diag(cov).copy()  # shared computation keeps diagonal == variance exact
+    var = np.diag(centred.T @ centred) / (n - 1)
     m4 = np.mean(centred ** 4, axis=0)
     var_of_var = np.maximum(m4 - var ** 2 * (n - 3) / (n - 1), 0.0) / n
-    return EstimatorSummary(n=n, mean=mean, var=var, cov=cov,
+    return EstimatorSummary(n=n, mean=mean, var=var,
                             se_mean=np.sqrt(var / n), se_var=np.sqrt(var_of_var))
 
 
@@ -383,15 +378,15 @@ class ExperimentReport:
         }
 
 
-def _targets(plan: ExperimentPlan) -> list[tuple[float | None, float | None]] | None:
-    """The closed-form limits of each region's scaled mean and variance, or
-    None unless the plan is the directed family on the line.
+def _targets(plan: ExperimentPlan) -> list[tuple[float, float]] | None:
+    """The closed-form limits of each test function's scaled mean and
+    variance, or None unless the plan is the directed family on the line.
 
     A point at local density kappa has a dilated gap of about Exp(2 kappa),
-    so the limits are E[D^a] J(1-a) and (v_a + delta_a^2) J(1-2a), with
-    J(p) the integral of kappa^p over the region.  Boxes of zero weight hold
-    no points and are skipped (0^p is infinite for p < 0).  They are known
-    for indicator test functions only; other regions get (None, None).
+    so for a test function of value v_b on box b (1 for an indicator) the
+    limits are E[D^a] sum_b v_b J_b(1-a) and (v_a + delta_a^2) sum_b v_b^2
+    J_b(1-2a), with J_b(p) the integral of kappa^p over box b.  Boxes of
+    zero weight hold no points and are skipped (0^p is infinite for p < 0).
     """
     if (plan.functional.family != DIRECTED_NN
             or plan.density.region.dimension != 1):
@@ -401,23 +396,25 @@ def _targets(plan: ExperimentPlan) -> list[tuple[float | None, float | None]] | 
               for w, box in zip(plan.density.weights, plan.density.region.boxes)
               if w > 0.0]
 
-    def integral(region: Region, p: float) -> float:
-        return sum(w ** p * max(0.0, min(hi, box.upper[0]) - max(lo, box.lower[0]))
-                   for w, lo, hi in pieces for box in region.boxes)
+    def integral(f: TestFunctionSpec, power: int, p: float) -> float:
+        values = f.values or (1.0,) * len(f.region.boxes)
+        return sum(v ** power * w ** p
+                   * max(0.0, min(hi, box.upper[0]) - max(lo, box.lower[0]))
+                   for w, lo, hi in pieces
+                   for v, box in zip(values, f.region.boxes))
 
     mean_coef = exp_moment(alpha)
     var_coef = v_alpha(alpha) + delta_alpha_sq(alpha)
-    return [(mean_coef * integral(r, 1.0 - alpha),
-             var_coef * integral(r, 1.0 - 2.0 * alpha))
-            if f.kind == "indicator" else (None, None)
-            for r, f in zip(plan.regions, plan.test_functions)]
+    return [(mean_coef * integral(f, 1, 1.0 - alpha),
+             var_coef * integral(f, 2, 1.0 - 2.0 * alpha))
+            for f in plan.test_functions]
 
 
 def _lambda_report(plan: ExperimentPlan, lam: float,
                    data: np.ndarray) -> LambdaReport:
     """Moments, normality diagnostics and correlations of one intensity's
     (replicates x regions) sample matrix."""
-    m = len(plan.regions)
+    m = len(plan.test_functions)
     # where closed-form targets exist (the directed statistic on the line),
     # the report also gives the moments divided by lambda, their scale
     targets = _targets(plan)
@@ -464,39 +461,6 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
     return ExperimentReport(plan=plan, lambda_reports=tuple(reports),
                             rate=rate, censored_lambdas=censored,
                             rate_note=f"rate fit skipped: {note}" if note else "")
-
-
-def directed_nn_experiment(alpha: float, kappas, intervals, lambda_grid,
-                         replicates: int, seed: int,
-                         workers: int = 1) -> ExperimentReport:
-    """Directed nearest-neighbour verification run on disjoint intervals.
-
-    ``kappas`` holds one positive constant density value per interval; the
-    statistic per region is the intensity-scaled alpha-power edge length, so
-    the scaled mean and variance converge to the closed-form limits reported
-    next to each region: E[D^alpha] kappa^(1-alpha) |I| and
-    (v_alpha + delta_alpha^2) kappa^(1-2 alpha) |I| on an interval I of
-    density kappa.
-    """
-    intervals = [tuple(map(float, iv)) for iv in intervals]
-    kappas = [float(k) for k in kappas]
-    if len(kappas) != len(intervals):
-        raise ValueError("need one density value per interval")
-    if any(k <= 0 for k in kappas):
-        raise ValueError("density values must be positive")
-    regions = tuple(Region.interval(a, b) for a, b in intervals)
-    support = Region.from_bounds([((a,), (b,)) for a, b in intervals])
-    density = DensitySpec(region=support, weights=tuple(kappas), normalized=False)
-    plan = ExperimentPlan(
-        density=density,
-        regions=regions,
-        test_functions=tuple(TestFunctionSpec(region=r) for r in regions),
-        functional=FunctionalSpec(family=DIRECTED_NN, k=1, alpha=float(alpha)),
-        lambda_grid=tuple(lambda_grid),
-        replicates=int(replicates),
-        seed=int(seed),
-    )
-    return run_experiment(plan, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stabpp import cli
 from stabpp import experiments as ex
 from stabpp import neighbors as nb
 from stabpp import regions as rg
@@ -27,22 +28,28 @@ def _report(criterion: int, ok: bool, detail: str):
           f"{'PASS' if ok else 'FAIL'}: {detail}")
 
 
-@pytest.fixture(scope="module")
-def run_alpha1():
+def directed_run(alpha, intervals, lambda_grid, replicates, workers=1):
+    """The directed run of the plan ``stabpp simulate`` would read: unit
+    density on each interval, one indicator region per interval, seed 42."""
+    boxes = [{"lower": [a], "upper": [b]} for a, b in intervals]
+    plan = cli.parse_plan({
+        "dimension": 1, "density": {"boxes": boxes, "weights": [1.0] * len(boxes)},
+        "regions": [[box] for box in boxes],
+        "functional": {"family": "nn_directed", "alpha": alpha},
+        "lambda_grid": lambda_grid, "replicates": replicates, "seed": 42})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return ex.directed_nn_experiment(
-            alpha=1.0, kappas=[1.0], intervals=[(0.0, 1.0)],
-            lambda_grid=[2000.0], replicates=20_000, seed=42)
+        return ex.run_experiment(plan, workers=workers)
+
+
+@pytest.fixture(scope="module")
+def run_alpha1():
+    return directed_run(1.0, [(0.0, 1.0)], [2000.0], 20_000)
 
 
 @pytest.fixture(scope="module")
 def run_alpha2():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ex.directed_nn_experiment(
-            alpha=2.0, kappas=[1.0], intervals=[(0.0, 1.0)],
-            lambda_grid=[2000.0], replicates=20_000, seed=42)
+    return directed_run(2.0, [(0.0, 1.0)], [2000.0], 20_000)
 
 
 def test_criterion_1_constants_table():
@@ -98,11 +105,7 @@ def test_criterion_3_limiting_variance(run_alpha1, run_alpha2):
 
 def test_criterion_4_multivariate_normality():
     """Two disjoint unit intervals with gap 1: joint normality, no correlation."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = ex.directed_nn_experiment(
-            alpha=1.0, kappas=[1.0, 1.0], intervals=[(0.0, 1.0), (2.0, 3.0)],
-            lambda_grid=[2000.0], replicates=10_000, seed=42)
+    rep = directed_run(1.0, [(0.0, 1.0), (2.0, 3.0)], [2000.0], 10_000)
     lr = rep.lambda_reports[0]
     corr = abs(lr.correlations[0][1])
     ok = lr.joint_discrepancy <= 0.02 and corr <= 0.04
@@ -119,12 +122,7 @@ def test_criterion_5_rate_band():
     noise floor over the whole grid; with alpha=1 the statistic is so close
     to normal that every grid point falls below the floor at N=20000.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = ex.directed_nn_experiment(
-            alpha=3.0, kappas=[1.0], intervals=[(0.0, 1.0)],
-            lambda_grid=[100.0, 400.0, 1600.0, 6400.0],
-            replicates=20_000, seed=42)
+    rep = directed_run(3.0, [(0.0, 1.0)], [100.0, 400.0, 1600.0, 6400.0], 20_000)
     ok = rep.rate is not None and -0.8 <= rep.rate.slope <= -0.2
     slope = float("nan") if rep.rate is None else rep.rate.slope
     r2 = float("nan") if rep.rate is None else rep.rate.r_squared
@@ -234,12 +232,8 @@ def test_criterion_10_covering_packing_sandwich():
 
 def test_criterion_11_worker_determinism():
     """Full pipeline report is byte-identical across 1 and 8 workers."""
-    kwargs = dict(alpha=1.0, kappas=[1.0], intervals=[(0.0, 1.0)],
-                  lambda_grid=[100.0, 200.0], replicates=500, seed=42)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep1 = ex.directed_nn_experiment(workers=1, **kwargs)
-        rep8 = ex.directed_nn_experiment(workers=8, **kwargs)
+    rep1, rep8 = (directed_run(1.0, [(0.0, 1.0)], [100.0, 200.0], 500, workers=w)
+                  for w in (1, 8))
     b1 = json.dumps(rep1.to_dict(), sort_keys=True).encode()
     b8 = json.dumps(rep8.to_dict(), sort_keys=True).encode()
     ok = b1 == b8

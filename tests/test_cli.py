@@ -351,6 +351,8 @@ class TestBadValues:
         ({"regions": [[]]}, "regions[0]"),
         ({"test_functions": [{"kind": "indicator", "values": [5.0, 7.0]}]},
          "test_functions[0]"),
+        ({"test_functions": [{"kind": "indicator"}] * 2},
+         "test_functions has 2 entries for 1 regions"),
         ({"functional": {"family": "nn_directed", "alpha": math.inf}},
          "functional: alpha"),
         # a JSON string is not a boolean, whatever it says
@@ -369,8 +371,8 @@ class TestBadValues:
             "lambda_string", "alpha_bool", "family_unknown", "kind_unknown",
             "piecewise_without_values", "box_of_other_dimension",
             "bounds_of_unequal_length", "region_without_boxes",
-            "indicator_with_values", "alpha_infinite", "homogeneous_string",
-            "normalized_string"])
+            "indicator_with_values", "test_function_count", "alpha_infinite",
+            "homogeneous_string", "normalized_string"])
     def test_simulate_exits_2_naming_the_key(self, tmp_path, capsys,
                                              overrides, named):
         cfg = (base_config(**{"replicates": 4, **overrides})

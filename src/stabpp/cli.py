@@ -22,8 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .experiments import (ExperimentPlan, ExperimentReport, fit_rate,
-                          run_experiment)
+from .experiments import ExperimentPlan, fit_rate, run_experiment
 from .functionals import FunctionalSpec, TestFunctionSpec, stabilization_probe
 from .point_process import (DensitySpec, sample_binomial,
                             sample_homogeneous_line, sample_poisson)
@@ -292,11 +291,11 @@ def _write_tables(out_dir: str, payload: dict):
     rate = os.path.join(out_dir, "rate.csv")
     with open(rate, "w", encoding="utf-8") as fh:
         fh.write("lambda,joint_discrepancy,used_in_fit\n")
-        censored = set(payload.get("censored_lambdas", []))
+        fit = payload["rate_fit"]
+        used = set() if fit is None else set(fit["lambdas_used"])
         for lr in payload["per_lambda"]:
-            used = "0" if lr["lambda"] in censored else "1"
-            fh.write(f'{_fmt(lr["lambda"])},{_fmt(lr["joint_discrepancy"])},{used}\n')
-        fit = payload.get("rate_fit")
+            fh.write(f'{_fmt(lr["lambda"])},{_fmt(lr["joint_discrepancy"])},'
+                     f'{int(lr["lambda"] in used)}\n')
         if fit is not None:
             fh.write("slope,intercept,r_squared\n")
             fh.write(f'{_fmt(fit["slope"])},{_fmt(fit["intercept"])},'
@@ -347,6 +346,10 @@ def _cmd_sample(args) -> int:
     if args.n is not None and args.n < 0:
         print(f"error: --n must be >= 0, got {args.n}", file=sys.stderr)
         return EXIT_USAGE
+    if args.n is not None and args.process != "binomial":
+        print(f"error: --n applies to --process binomial only, not {args.process}",
+              file=sys.stderr)
+        return EXIT_USAGE
     config = _load_config(args.config)
     plan = parse_plan(config, seed_override=args.seed)
     _parse_probe_and_check(config)
@@ -379,22 +382,21 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _run_check(report: ExperimentReport, multiplier: float) -> list[str]:
+def _run_check(payload: dict, multiplier: float) -> list[str]:
     failures = []
-    last = report.lambda_reports[-1]
-    for rs in last.regions:
-        if rs.target_mean is None:
+    for rs in payload["per_lambda"][-1]["regions"]:
+        if rs["target_mean"] is None:
             continue
-        if abs(rs.scaled_mean - rs.target_mean) > multiplier * rs.se_scaled_mean:
+        if abs(rs["scaled_mean"] - rs["target_mean"]) > multiplier * rs["se_scaled_mean"]:
             failures.append(
-                f"region {rs.index}: scaled mean {rs.scaled_mean:.6g} misses "
-                f"target {rs.target_mean:.6g} by more than "
-                f"{multiplier:g} SE ({rs.se_scaled_mean:.3g})")
-        if abs(rs.scaled_var - rs.target_var) > multiplier * rs.se_scaled_var:
+                f"region {rs['index']}: scaled mean {rs['scaled_mean']:.6g} misses "
+                f"target {rs['target_mean']:.6g} by more than "
+                f"{multiplier:g} SE ({rs['se_scaled_mean']:.3g})")
+        if abs(rs["scaled_var"] - rs["target_var"]) > multiplier * rs["se_scaled_var"]:
             failures.append(
-                f"region {rs.index}: scaled variance {rs.scaled_var:.6g} misses "
-                f"target {rs.target_var:.6g} by more than "
-                f"{multiplier:g} SE ({rs.se_scaled_var:.3g})")
+                f"region {rs['index']}: scaled variance {rs['scaled_var']:.6g} misses "
+                f"target {rs['target_var']:.6g} by more than "
+                f"{multiplier:g} SE ({rs['se_scaled_var']:.3g})")
     return failures
 
 
@@ -410,12 +412,11 @@ def _cmd_simulate(args) -> int:
         return EXIT_USAGE
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
 
-    def progress(lam, lambda_report):
+    def progress(lam, entry):
         print(f"lambda={lam:g}: joint discrepancy "
-              f"{lambda_report.joint_discrepancy:.5f}", file=sys.stderr)
+              f"{entry['joint_discrepancy']:.5f}", file=sys.stderr)
 
-    report = run_experiment(plan, workers=workers, progress=progress)
-    payload = report.to_dict()
+    payload = run_experiment(plan, workers=workers, progress=progress)
     meta = _meta(config, plan.seed, started)
     path = _write_report(out_dir, payload, meta)
     _write_tables(out_dir, payload)
@@ -424,7 +425,7 @@ def _cmd_simulate(args) -> int:
     else:
         print(f"wrote {path}")
     if args.check:
-        failures = _run_check(report, se_multiplier)
+        failures = _run_check(payload, se_multiplier)
         if failures:
             for line in failures:
                 print(f"check failed: {line}", file=sys.stderr)
@@ -505,13 +506,11 @@ def _cmd_rate(args) -> int:
     if fit is None:
         print(f"error: {note}; cannot refit", file=sys.stderr)
         return EXIT_RUNTIME
-    out = {"slope": fit.slope, "intercept": fit.intercept,
-           "r_squared": fit.r_squared, "lambdas_used": list(fit.lambdas_used)}
     if args.json:
-        print(json.dumps(out, sort_keys=True))
+        print(json.dumps(fit, sort_keys=True))
     else:
-        print(f"slope {fit.slope:.4f}  intercept {fit.intercept:.4f}  "
-              f"R^2 {fit.r_squared:.4f}  (lambdas {list(fit.lambdas_used)})")
+        print(f"slope {fit['slope']:.4f}  intercept {fit['intercept']:.4f}  "
+              f"R^2 {fit['r_squared']:.4f}  (lambdas {fit['lambdas_used']})")
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,10 +43,6 @@ __all__ = [
     "ExperimentPlan",
     "EstimatorSummary",
     "JointDiscrepancy",
-    "RegionStats",
-    "LambdaReport",
-    "ExperimentReport",
-    "RateFit",
     "PoissonBinomialRow",
     "DegenerateComponentError",
     "GridBudgetError",
@@ -280,22 +276,13 @@ def product_form_discrepancy(standardized: np.ndarray,
     )
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares fit of log discrepancy against log intensity."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    lambdas_used: tuple[float, ...]
-
-
 def fit_rate(lambdas, discrepancies, replicates: int
-             ) -> tuple[RateFit | None, tuple[float, ...], str]:
+             ) -> tuple[dict | None, tuple[float, ...], str]:
     """Fit log D ~ slope * log lambda + intercept above the noise floor.
 
     Intensities whose discrepancy lies below the Monte Carlo noise floor
-    1/sqrt(replicates) are censored, with a warning.  Returns the fit, or
+    1/sqrt(replicates) are censored, with a warning.  Returns the fit as a
+    report's "rate_fit" (slope, intercept, r_squared and lambdas_used), or
     None when fewer than 3 intensities remain; the censored intensities; and
     a note saying why there is no fit ("" when there is one).
     """
@@ -312,71 +299,13 @@ def fit_rate(lambdas, discrepancies, replicates: int
         return None, censored, (f"only {int(keep.sum())} intensities above the "
                                 f"noise floor {floor:.4g}")
     slope, intercept, r2 = fit_line(np.log(lams[keep]), np.log(ds[keep]))
-    fit = RateFit(slope=slope, intercept=intercept, r_squared=r2,
-                  lambdas_used=tuple(float(v) for v in lams[keep]))
+    fit = {"slope": slope, "intercept": intercept, "r_squared": r2,
+           "lambdas_used": [float(v) for v in lams[keep]]}
     return fit, censored, ""
 
 
 # ---------------------------------------------------------------------------
 # full experiment pipeline
-
-@dataclass(frozen=True)
-class RegionStats:
-    index: int
-    mean: float
-    se_mean: float
-    var: float
-    se_var: float
-    ks: float
-    scaled_mean: float | None = None
-    se_scaled_mean: float | None = None
-    scaled_var: float | None = None
-    se_scaled_var: float | None = None
-    target_mean: float | None = None
-    target_var: float | None = None
-
-
-@dataclass(frozen=True)
-class LambdaReport:
-    lam: float
-    regions: tuple[RegionStats, ...]
-    joint_discrepancy: float
-    argmax_node: tuple[float, ...]
-    correlations: tuple[tuple[float, ...], ...]
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    plan: ExperimentPlan
-    lambda_reports: tuple[LambdaReport, ...]
-    rate: RateFit | None
-    censored_lambdas: tuple[float, ...] = ()
-    rate_note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "functional": {key: getattr(self.plan.functional, key)
-                           for key in ("family", "k", "alpha")},
-            "replicates": self.plan.replicates,
-            "seed": self.plan.seed,
-            "lambda_grid": list(self.plan.lambda_grid),
-            "t_grid": list(self.plan.t_grid),
-            "per_lambda": [
-                {
-                    "lambda": lr.lam,
-                    "joint_discrepancy": lr.joint_discrepancy,
-                    "argmax_node": list(lr.argmax_node),
-                    "correlations": [list(row) for row in lr.correlations],
-                    "regions": [asdict(rs) for rs in lr.regions],
-                }
-                for lr in self.lambda_reports
-            ],
-            "rate_fit": None if self.rate is None else {
-                **asdict(self.rate), "lambdas_used": list(self.rate.lambdas_used)},
-            "censored_lambdas": list(self.censored_lambdas),
-            "rate_note": self.rate_note,
-        }
-
 
 def _targets(plan: ExperimentPlan) -> list[tuple[float, float]] | None:
     """The closed-form limits of each test function's scaled mean and
@@ -410,10 +339,8 @@ def _targets(plan: ExperimentPlan) -> list[tuple[float, float]] | None:
             for f in plan.test_functions]
 
 
-def _lambda_report(plan: ExperimentPlan, lam: float,
-                   data: np.ndarray) -> LambdaReport:
-    """Moments, normality diagnostics and correlations of one intensity's
-    (replicates x regions) sample matrix."""
+def _lambda_report(plan: ExperimentPlan, lam: float, data: np.ndarray) -> dict:
+    """The "per_lambda" entry of one intensity's (replicates x regions) data."""
     m = len(plan.test_functions)
     # where closed-form targets exist (the directed statistic on the line),
     # the report also gives the moments divided by lambda, their scale
@@ -426,41 +353,60 @@ def _lambda_report(plan: ExperimentPlan, lam: float,
     regions = []
     for i in range(m):
         mean, se_mean, var, se_var = moments[:, i].tolist()
-        regions.append(RegionStats(
-            index=i, mean=mean, se_mean=se_mean, var=var, se_var=se_var,
-            ks=ks_to_normal(std[:, i]),
-            **({} if targets is None else {
-                "scaled_mean": mean / lam, "se_scaled_mean": se_mean / lam,
-                "scaled_var": var / lam, "se_scaled_var": se_var / lam,
-                "target_mean": targets[i][0], "target_var": targets[i][1]}),
-        ))
-    return LambdaReport(
-        lam=lam, regions=tuple(regions),
-        joint_discrepancy=joint.sup, argmax_node=joint.argmax_node,
-        correlations=tuple(tuple(float(v) for v in row) for row in corr),
-    )
+        rs = {"index": i, "mean": mean, "se_mean": se_mean, "var": var,
+              "se_var": se_var, "ks": ks_to_normal(std[:, i]),
+              "scaled_mean": None, "se_scaled_mean": None, "scaled_var": None,
+              "se_scaled_var": None, "target_mean": None, "target_var": None}
+        if targets is not None:
+            rs.update(scaled_mean=mean / lam, se_scaled_mean=se_mean / lam,
+                      scaled_var=var / lam, se_scaled_var=se_var / lam,
+                      target_mean=targets[i][0], target_var=targets[i][1])
+        regions.append(rs)
+    return {"lambda": lam, "joint_discrepancy": joint.sup,
+            "argmax_node": list(joint.argmax_node),
+            "correlations": corr.tolist(), "regions": regions}
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1,
-                   progress=None) -> ExperimentReport:
-    """Run the full lambda grid and assemble the per-intensity reports.
+                   progress=None) -> dict:
+    """Run the full lambda grid and return the payload that ``report.json``
+    stores.
+
+    Its keys: "functional" (family, k, alpha), "replicates", "seed",
+    "lambda_grid" and "t_grid"; "per_lambda", one entry per intensity with
+    "lambda", "joint_discrepancy", "argmax_node", the m x m "correlations"
+    and "regions", each with "index", "mean", "se_mean", "var", "se_var",
+    "ks", "scaled_mean", "se_scaled_mean", "scaled_var", "se_scaled_var",
+    "target_mean" and "target_var" (the last six None unless the plan is the
+    directed family on the line); "rate_fit", the fit of ``fit_rate`` or
+    None; "censored_lambdas"; and "rate_note", why there is no fit.
 
     With workers > 1 one process pool serves every intensity of the run.
+    ``progress``, when given, is called with each intensity and its entry.
     """
-    reports = []
+    per_lambda = []
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         for lam in plan.lambda_grid:
             data = run_replicates(plan, lam, pool=pool, workers=workers)
-            reports.append(_lambda_report(plan, lam, data))
+            per_lambda.append(_lambda_report(plan, lam, data))
             if progress is not None:
-                progress(lam, reports[-1])
+                progress(lam, per_lambda[-1])
 
     rate, censored, note = fit_rate(
-        plan.lambda_grid, [lr.joint_discrepancy for lr in reports], plan.replicates)
-    return ExperimentReport(plan=plan, lambda_reports=tuple(reports),
-                            rate=rate, censored_lambdas=censored,
-                            rate_note=f"rate fit skipped: {note}" if note else "")
+        plan.lambda_grid, [e["joint_discrepancy"] for e in per_lambda], plan.replicates)
+    return {
+        "functional": {key: getattr(plan.functional, key)
+                       for key in ("family", "k", "alpha")},
+        "replicates": plan.replicates,
+        "seed": plan.seed,
+        "lambda_grid": list(plan.lambda_grid),
+        "t_grid": list(plan.t_grid),
+        "per_lambda": per_lambda,
+        "rate_fit": rate,
+        "censored_lambdas": list(censored),
+        "rate_note": f"rate fit skipped: {note}" if note else "",
+    }
 
 
 # ---------------------------------------------------------------------------

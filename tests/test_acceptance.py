@@ -78,38 +78,39 @@ def test_criterion_1_constants_table():
 
 def test_criterion_2_limiting_mean(run_alpha1):
     """Scaled mean of the weight-1 statistic at lambda=2000, N=20000."""
-    rs = run_alpha1.lambda_reports[0].regions[0]
-    dev = abs(rs.scaled_mean - 0.5)
-    ok = dev <= 0.005 and 0.005 >= 3.0 * rs.se_scaled_mean
-    _report(2, ok, f"scaled mean {rs.scaled_mean:.6f} vs 1/2 "
-                   f"(|dev| {dev:.2e} <= 0.005, 3SE {3 * rs.se_scaled_mean:.2e})")
+    rs = run_alpha1["per_lambda"][0]["regions"][0]
+    dev = abs(rs["scaled_mean"] - 0.5)
+    ok = dev <= 0.005 and 0.005 >= 3.0 * rs["se_scaled_mean"]
+    _report(2, ok, f"scaled mean {rs['scaled_mean']:.6f} vs 1/2 "
+                   f"(|dev| {dev:.2e} <= 0.005, 3SE {3 * rs['se_scaled_mean']:.2e})")
     assert ok
 
 
 def test_criterion_3_limiting_variance(run_alpha1, run_alpha2):
     """Scaled variances: alpha=1 against 1/6 +- 0.01, alpha=2 within 3 SE."""
-    rs1 = run_alpha1.lambda_reports[0].regions[0]
-    dev1 = abs(rs1.scaled_var - 1.0 / 6.0)
+    rs1 = run_alpha1["per_lambda"][0]["regions"][0]
+    dev1 = abs(rs1["scaled_var"] - 1.0 / 6.0)
     ok1 = dev1 <= 0.01
-    rs2 = run_alpha2.lambda_reports[0].regions[0]
+    rs2 = run_alpha2["per_lambda"][0]["regions"][0]
     target2 = 85.0 / 108.0 + 0.25
-    dev2 = abs(rs2.scaled_var - target2)
-    ok2 = dev2 <= 3.0 * rs2.se_scaled_var and abs(rs2.target_var - target2) < 1e-12
+    dev2 = abs(rs2["scaled_var"] - target2)
+    ok2 = (dev2 <= 3.0 * rs2["se_scaled_var"]
+           and abs(rs2["target_var"] - target2) < 1e-12)
     ok = ok1 and ok2
     _report(3, ok,
-            f"alpha=1: lam*var {rs1.scaled_var:.6f} (|dev| {dev1:.2e} <= 0.01); "
-            f"alpha=2: lam^3*var {rs2.scaled_var:.5f} vs {target2:.5f} "
-            f"(|dev| {dev2:.2e} <= 3SE {3 * rs2.se_scaled_var:.2e})")
+            f"alpha=1: lam*var {rs1['scaled_var']:.6f} (|dev| {dev1:.2e} <= 0.01); "
+            f"alpha=2: lam^3*var {rs2['scaled_var']:.5f} vs {target2:.5f} "
+            f"(|dev| {dev2:.2e} <= 3SE {3 * rs2['se_scaled_var']:.2e})")
     assert ok
 
 
 def test_criterion_4_multivariate_normality():
     """Two disjoint unit intervals with gap 1: joint normality, no correlation."""
     rep = directed_run(1.0, [(0.0, 1.0), (2.0, 3.0)], [2000.0], 10_000)
-    lr = rep.lambda_reports[0]
-    corr = abs(lr.correlations[0][1])
-    ok = lr.joint_discrepancy <= 0.02 and corr <= 0.04
-    _report(4, ok, f"product-form sup {lr.joint_discrepancy:.4f} <= 0.02, "
+    lr = rep["per_lambda"][0]
+    corr = abs(lr["correlations"][0][1])
+    ok = lr["joint_discrepancy"] <= 0.02 and corr <= 0.04
+    _report(4, ok, f"product-form sup {lr['joint_discrepancy']:.4f} <= 0.02, "
                    f"|corr| {corr:.4f} <= 0.04")
     assert ok
 
@@ -123,12 +124,13 @@ def test_criterion_5_rate_band():
     to normal that every grid point falls below the floor at N=20000.
     """
     rep = directed_run(3.0, [(0.0, 1.0)], [100.0, 400.0, 1600.0, 6400.0], 20_000)
-    ok = rep.rate is not None and -0.8 <= rep.rate.slope <= -0.2
-    slope = float("nan") if rep.rate is None else rep.rate.slope
-    r2 = float("nan") if rep.rate is None else rep.rate.r_squared
-    ds = [lr.joint_discrepancy for lr in rep.lambda_reports]
+    fit = rep["rate_fit"]
+    ok = fit is not None and -0.8 <= fit["slope"] <= -0.2
+    slope = float("nan") if fit is None else fit["slope"]
+    r2 = float("nan") if fit is None else fit["r_squared"]
+    ds = [lr["joint_discrepancy"] for lr in rep["per_lambda"]]
     _report(5, ok, f"slope {slope:.3f} in [-0.8, -0.2] (R^2 {r2:.3f}, "
-                   f"D={['%.4f' % d for d in ds]}, censored {list(rep.censored_lambdas)})")
+                   f"D={['%.4f' % d for d in ds]}, censored {rep['censored_lambdas']})")
     assert ok
 
 
@@ -234,8 +236,8 @@ def test_criterion_11_worker_determinism():
     """Full pipeline report is byte-identical across 1 and 8 workers."""
     rep1, rep8 = (directed_run(1.0, [(0.0, 1.0)], [100.0, 200.0], 500, workers=w)
                   for w in (1, 8))
-    b1 = json.dumps(rep1.to_dict(), sort_keys=True).encode()
-    b8 = json.dumps(rep8.to_dict(), sort_keys=True).encode()
+    b1 = json.dumps(rep1, sort_keys=True).encode()
+    b8 = json.dumps(rep8, sort_keys=True).encode()
     ok = b1 == b8
     _report(11, ok, f"reports identical across 1 and 8 workers "
                     f"({len(b1)} bytes)")

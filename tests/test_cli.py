@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import stabpp
 from stabpp import cli
+from stabpp import experiments as ex
 from stabpp.special import delta_alpha_sq, v_alpha
 
 
@@ -141,7 +143,28 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", cfg, "--check",
                          "--out", str(tmp_path / "d")])
         assert code == 1
-        assert "check failed" in capsys.readouterr().err
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("check failed")]
+        assert failed == [
+            "check failed: region 0: scaled mean 0.508029 misses target 0.5 "
+            "by more than 1e-06 SE (0.00421)",
+            "check failed: region 0: scaled variance 0.127402 misses target "
+            "0.166667 by more than 1e-06 SE (0.0202)"]
+
+    def test_payload_is_what_run_experiment_returns(self, tmp_path):
+        """report.json stores the dict run_experiment returns, key for key."""
+        boxes = [{"lower": [0.0], "upper": [1.0]}, {"lower": [2.0], "upper": [3.0]}]
+        cfg = base_config(density={"boxes": boxes, "weights": [2.0, 0.5]},
+                          regions=[[boxes[0]], [boxes[1]]],
+                          lambda_grid=[40.0, 80.0, 160.0], replicates=30, seed=3)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main(["simulate", "--config", write_config(tmp_path, cfg),
+                             "--out", str(out)]) == 0
+            payload = ex.run_experiment(cli.parse_plan(cfg))
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["payload"] == payload
 
     def test_env_seed_used_when_unset(self, tmp_path, monkeypatch):
         cfg = base_config()
@@ -391,11 +414,14 @@ class TestBadValues:
         (["sample", "--lambda", "nan"], None, "--lambda"),
         (["sample", "--lambda", "inf"], None, "--lambda"),
         (["sample", "--process", "binomial", "--n", "-3"], None, "--n"),
+        (["sample", "--process", "poisson", "--n", "5"], None, "--n"),
+        (["sample", "--process", "homogeneous", "--n", "5"], None, "--n"),
         (["simulate", "--workers", "-3"], None, "--workers"),
         (["simulate", "--workers", "0"], None, "--workers"),
         (["simulate"], "0", "STABPP_WORKERS"),
     ], ids=["lambda_negative", "lambda_zero", "lambda_nan", "lambda_infinite",
-            "n_negative", "workers_negative", "workers_zero", "env_workers_zero"])
+            "n_negative", "n_poisson", "n_homogeneous", "workers_negative",
+            "workers_zero", "env_workers_zero"])
     def test_bad_flag_exits_2_naming_the_flag(self, tmp_path, capsys,
                                               monkeypatch, argv, env, named):
         # every worker count here is below 1, so no pool can start
@@ -423,6 +449,42 @@ class TestEmptyLists:
                          "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestRateTable:
+    """rate.csv marks an intensity used_in_fit exactly when the report's
+    rate_fit lists it, so a skipped fit marks every row 0."""
+
+    @staticmethod
+    def run(tmp_path, replicates):
+        # the criterion-5 plan at seed 1
+        cfg = write_config(tmp_path, base_config(
+            functional={"family": "nn_directed", "alpha": 3.0},
+            lambda_grid=[100.0, 400.0, 1600.0, 6400.0], replicates=replicates,
+            seed=1))
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="censored"):
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())["payload"]
+        rows = (out / "rate.csv").read_text().splitlines()
+        return payload, [row.split(",") for row in rows[1:5]], rows
+
+    def test_skipped_fit_uses_no_intensity(self, tmp_path):
+        # at 1000 replicates lambda = 100 and 400 sit above the noise floor,
+        # two intensities, too few to fit
+        payload, rows, lines = self.run(tmp_path, 1000)
+        assert payload["rate_fit"] is None
+        assert payload["censored_lambdas"] == [1600.0, 6400.0]
+        assert [(lam, used) for lam, _, used in rows] == [
+            ("100", "0"), ("400", "0"), ("1600", "0"), ("6400", "0")]
+        assert len(lines) == 5  # no fit row
+
+    def test_fitted_run_marks_the_fitted_intensities(self, tmp_path):
+        payload, rows, lines = self.run(tmp_path, 2000)
+        assert payload["rate_fit"]["lambdas_used"] == [100.0, 400.0, 1600.0]
+        assert [(lam, used) for lam, _, used in rows] == [
+            ("100", "1"), ("400", "1"), ("1600", "1"), ("6400", "0")]
+        assert lines[5] == "slope,intercept,r_squared"
 
 
 class TestRateCommand:

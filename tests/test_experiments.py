@@ -220,20 +220,20 @@ class TestRateFit:
         lams = [1e2, 1e3, 1e4]
         fit, censored, note = ex.fit_rate(lams, [lam ** -0.5 for lam in lams],
                                           1_000_000)
-        assert fit.slope == pytest.approx(-0.5, abs=1e-12)
-        assert fit.r_squared == pytest.approx(1.0)
+        assert fit["slope"] == pytest.approx(-0.5, abs=1e-12)
+        assert fit["r_squared"] == pytest.approx(1.0)
         assert (censored, note) == ((), "")
 
     def test_constant_discrepancy(self):
         fit, _, _ = ex.fit_rate([10.0, 100.0, 1000.0], [0.25, 0.25, 0.25], 100)
-        assert fit.slope == pytest.approx(0.0, abs=1e-12)
+        assert fit["slope"] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_dropped_with_warning(self):
         # a zero discrepancy lies below every noise floor: it is censored
         with pytest.warns(UserWarning, match="censored"):
             fit, censored, _ = ex.fit_rate([10.0, 100.0, 1000.0, 10000.0],
                                            [1.0, 0.1, 0.01, 0.0], 10_000)
-        assert fit.lambdas_used == (10.0, 100.0, 1000.0)
+        assert fit["lambdas_used"] == [10.0, 100.0, 1000.0]
         assert censored == (10000.0,)
 
     def test_too_few_points(self):
@@ -249,7 +249,7 @@ class TestRateFit:
         with pytest.warns(UserWarning, match="noise floor 0.1"):
             fit, censored, _ = ex.fit_rate([10.0, 20.0, 40.0, 80.0],
                                            [0.2, 0.1, 0.05, 0.1], 100)
-        assert fit.lambdas_used == (10.0, 20.0, 80.0)
+        assert fit["lambdas_used"] == [10.0, 20.0, 80.0]
         assert censored == (40.0,)
 
 
@@ -450,15 +450,13 @@ class TestRunReplicates:
 class TestPipeline:
     def test_directed_nn_small_run_hits_targets_loosely(self):
         rep = directed_report(1.0, [1.0], [(0.0, 1.0)], 500.0, 800, 10)
-        rs = rep.lambda_reports[0].regions[0]
-        assert rs.target_mean == pytest.approx(0.5)
-        assert rs.target_var == pytest.approx(1.0 / 6.0)
-        assert abs(rs.scaled_mean - 0.5) <= 5.0 * rs.se_scaled_mean
-        assert abs(rs.scaled_var - 1.0 / 6.0) <= 5.0 * rs.se_scaled_var
+        rs = rep["per_lambda"][0]["regions"][0]
+        assert rs["target_mean"] == pytest.approx(0.5)
+        assert rs["target_var"] == pytest.approx(1.0 / 6.0)
+        assert abs(rs["scaled_mean"] - 0.5) <= 5.0 * rs["se_scaled_mean"]
+        assert abs(rs["scaled_var"] - 1.0 / 6.0) <= 5.0 * rs["se_scaled_var"]
         # report serializes cleanly
-        payload = rep.to_dict()
-        json.dumps(payload)
-        assert payload["per_lambda"][0]["regions"][0]["target_mean"] == pytest.approx(0.5)
+        json.dumps(rep)
 
     def test_scaled_fields_only_for_directed_1d(self):
         # directed on the line: every scaled field is its moment / lambda,
@@ -467,12 +465,12 @@ class TestPipeline:
             warnings.simplefilter("ignore")
             rep = ex.run_experiment(small_plan(replicates=30,
                                                lambda_grid=(40.0, 80.0)))
-        for lr in rep.lambda_reports:
-            for rs in lr.regions:
-                assert rs.scaled_mean == rs.mean / lr.lam
-                assert rs.se_scaled_mean == rs.se_mean / lr.lam
-                assert rs.scaled_var == rs.var / lr.lam
-                assert rs.se_scaled_var == rs.se_var / lr.lam
+        for lr in rep["per_lambda"]:
+            for rs in lr["regions"]:
+                assert rs["scaled_mean"] == rs["mean"] / lr["lambda"]
+                assert rs["se_scaled_mean"] == rs["se_mean"] / lr["lambda"]
+                assert rs["scaled_var"] == rs["var"] / lr["lambda"]
+                assert rs["se_scaled_var"] == rs["se_var"] / lr["lambda"]
         # kNN in the plane: no scaled field at any intensity
         square = Region.from_bounds([((0.0, 0.0), (1.0, 1.0))])
         halves = (Region.from_bounds([((0.0, 0.0), (0.5, 1.0))]),
@@ -485,10 +483,10 @@ class TestPipeline:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rep = ex.run_experiment(plan)
-        for lr in rep.lambda_reports:
-            for rs in lr.regions:
-                assert (rs.scaled_mean, rs.se_scaled_mean, rs.scaled_var,
-                        rs.se_scaled_var) == (None, None, None, None)
+        for lr in rep["per_lambda"]:
+            for rs in lr["regions"]:
+                assert (rs["scaled_mean"], rs["se_scaled_mean"], rs["scaled_var"],
+                        rs["se_scaled_var"]) == (None, None, None, None)
 
     def test_one_pool_per_run(self, monkeypatch):
         starts = []
@@ -506,8 +504,8 @@ class TestPipeline:
             monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
             pooled = ex.run_experiment(plan, workers=2)
         assert starts == [2]
-        assert (json.dumps(pooled.to_dict(), sort_keys=True)
-                == json.dumps(serial.to_dict(), sort_keys=True))
+        assert (json.dumps(pooled, sort_keys=True)
+                == json.dumps(serial, sort_keys=True))
 
     def test_binomial_variance_matches_formula_constant(self):
         # Monte Carlo route to the same constant the closed form produces
@@ -552,14 +550,14 @@ class TestTargets:
 
     @staticmethod
     def run(*args):
-        return directed_report(*args).lambda_reports[0].regions
+        return directed_report(*args)["per_lambda"][0]["regions"]
 
     def test_alpha_3_targets_are_exact(self):
         # unit density on the unit interval at alpha = 3 (the rate-criterion
         # plan): 3!/8 and 149/18 + 9/4, to the last bit
         (rs,) = self.run(3.0, [1.0], [(0.0, 1.0)], 50.0, 5, 1)
-        assert rs.target_mean == 0.75
-        assert rs.target_var == 379.0 / 36.0
+        assert rs["target_mean"] == 0.75
+        assert rs["target_var"] == 379.0 / 36.0
 
     def test_two_densities(self):
         # kappa = 2 on [0, 1] and 0.5 on [2, 3] at alpha = 2: the means are
@@ -567,21 +565,21 @@ class TestTargets:
         regions = self.run(2.0, [2.0, 0.5], [(0.0, 1.0), (2.0, 3.0)],
                            2000.0, 2000, 12)
         c = 85.0 / 108.0 + 0.25
-        assert [rs.target_mean for rs in regions] == [0.25, 1.0]
-        assert regions[0].target_var == pytest.approx(c / 8.0, rel=1e-12)
-        assert regions[1].target_var == pytest.approx(c * 8.0, rel=1e-12)
+        assert [rs["target_mean"] for rs in regions] == [0.25, 1.0]
+        assert regions[0]["target_var"] == pytest.approx(c / 8.0, rel=1e-12)
+        assert regions[1]["target_var"] == pytest.approx(c * 8.0, rel=1e-12)
         # the scaled means carry an O(1/(kappa lambda)) boundary bias, about
         # +0.0005 and +0.005 here; the bands are 4 times that
-        assert abs(regions[0].scaled_mean - 0.25) <= 0.002
-        assert abs(regions[1].scaled_mean - 1.0) <= 0.02
+        assert abs(regions[0]["scaled_mean"] - 0.25) <= 0.002
+        assert abs(regions[1]["scaled_mean"] - 1.0) <= 0.02
 
     def test_interval_of_length_2(self):
         # unit density on [0, 2] at alpha = 2: the variance is additive over
         # the interval, 2 (v_2 + delta_2^2), not 2 v_2 + (2 delta_2)^2
         (rs,) = self.run(2.0, [1.0], [(0.0, 2.0)], 1000.0, 4000, 5)
         target = 2.0 * (85.0 / 108.0 + 0.25)
-        assert rs.target_var == pytest.approx(target, rel=1e-12)
-        assert abs(rs.scaled_var - target) <= 0.25
+        assert rs["target_var"] == pytest.approx(target, rel=1e-12)
+        assert abs(rs["scaled_var"] - target) <= 0.25
 
     def test_zero_weight_box_is_skipped(self):
         # a region over a box of zero density: kappa^(1-2a) there would be
@@ -596,9 +594,9 @@ class TestTargets:
             lambda_grid=(50.0,), replicates=5, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            (rs,) = ex.run_experiment(plan).lambda_reports[0].regions
-        assert rs.target_mean == 0.5
-        assert rs.target_var == pytest.approx(85.0 / 108.0 + 0.25, rel=1e-12)
+            (rs,) = ex.run_experiment(plan)["per_lambda"][0]["regions"]
+        assert rs["target_mean"] == 0.5
+        assert rs["target_var"] == pytest.approx(85.0 / 108.0 + 0.25, rel=1e-12)
 
     def test_piecewise_test_function(self):
         # kappa = 1 on [0, 1] and 3 on [1, 2]; f = 2 on [0.2, 0.6] and -1 on
@@ -616,12 +614,12 @@ class TestTargets:
         assert plan.regions == (plan.test_functions[0].region,)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            (rs,) = ex.run_experiment(plan).lambda_reports[0].regions
+            (rs,) = ex.run_experiment(plan)["per_lambda"][0]["regions"]
         target_var = (85.0 / 108.0 + 0.25) * (1.6 + 0.6 / 27.0)
-        assert rs.target_mean == pytest.approx(0.3, rel=1e-12)
-        assert rs.target_var == pytest.approx(target_var, rel=1e-12)
+        assert rs["target_mean"] == pytest.approx(0.3, rel=1e-12)
+        assert rs["target_var"] == pytest.approx(target_var, rel=1e-12)
         # over 12 seeds of this plan the scaled mean had SE 0.0009 and the
         # scaled variance 0.042, their z-scores an SD of 0.9 and 1.0: the
         # bands are about 4 SE
-        assert abs(rs.scaled_mean - 0.3) <= 0.004
-        assert abs(rs.scaled_var - target_var) <= 0.17
+        assert abs(rs["scaled_mean"] - 0.3) <= 0.004
+        assert abs(rs["scaled_var"] - target_var) <= 0.17

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 from . import __version__
 from .experiments import ExperimentPlan, fit_rate, run_experiment
@@ -317,14 +318,13 @@ def _meta(config: dict, seed: int, started: float) -> dict:
 # subcommands
 
 def _cmd_constants(args) -> int:
-    bad = [a for a in args.alpha if not 0.0 < a < math.inf]
-    if bad:
-        print(f"error: --alpha must be positive and finite, got {bad[0]:g}",
-              file=sys.stderr)
-        return EXIT_USAGE
     rows = []
     for a in args.alpha:
-        d = delta_alpha(a)
+        try:
+            d = delta_alpha(a)
+        except ValueError as err:
+            print(f"error: --alpha: {err}", file=sys.stderr)
+            return EXIT_USAGE
         rows.append({"alpha": a, "v_alpha": v_alpha(a), "delta_alpha": d,
                      "delta_alpha_sq": d * d, "mean_coeff": exp_moment(a)})
     if args.json:
@@ -406,9 +406,12 @@ def _cmd_simulate(args) -> int:
     plan = parse_plan(config, seed_override=args.seed)
     _, se_multiplier = _parse_probe_and_check(config)
     workers = _resolve(args.workers, None, _env("WORKERS", int), 1)
-    if workers < 1:
+    # a pool starts all its processes at once, so the count stays within the CPUs
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
         source = "--workers" if args.workers is not None else _ENV_PREFIX + "WORKERS"
-        print(f"error: {source} must be >= 1, got {workers}", file=sys.stderr)
+        print(f"error: {source} must be from 1 to the CPU count {cpus}, "
+              f"got {workers}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
 
@@ -564,14 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as err:  # runtime failure contract: exit 1
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with warnings.catch_warnings():
+        # a library warning reaches the user as one line, with no source path
+        warnings.showwarning = (lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr))
+        try:
+            return args.func(args)
+        except ConfigError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        except Exception as err:  # runtime failure contract: exit 1
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

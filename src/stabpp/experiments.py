@@ -16,6 +16,9 @@ discrepancy), and the pairwise correlations of the standardized components.
 A log-log fit of discrepancy against intensity estimates the convergence
 rate, after censoring intensities whose discrepancy sits below the Monte
 Carlo noise floor ~ 1/sqrt(replicates).
+
+The fixed-n counterpart of the scaled variance, n i.i.d. uniform points in
+place of a Poisson process, comes from ``binomial_scaled_variances``.
 """
 
 from __future__ import annotations
@@ -33,17 +36,15 @@ from .functionals import (DIRECTED_NN, FunctionalSpec, TestFunctionSpec,
                           fit_line, t_vector)
 from .neighbors import nn_distances
 from .point_process import (BINOMIAL_STREAM_BASE, DensitySpec, first_with,
-                            replicate_streams, sample_binomial,
-                            sample_poisson)
+                            replicate_streams, sample_binomial, sample_poisson)
 from .regions import Region
-from .special import delta_alpha, delta_alpha_sq, exp_moment, ndtr, v_alpha
+from .special import delta_alpha_sq, exp_moment, ndtr, v_alpha
 
 __all__ = [
     "DEFAULT_T_GRID",
     "ExperimentPlan",
     "EstimatorSummary",
     "JointDiscrepancy",
-    "PoissonBinomialRow",
     "DegenerateComponentError",
     "GridBudgetError",
     "run_replicates",
@@ -53,7 +54,7 @@ __all__ = [
     "product_form_discrepancy",
     "fit_rate",
     "run_experiment",
-    "compare_poisson_binomial",
+    "binomial_scaled_variances",
 ]
 
 DEFAULT_T_GRID = tuple(np.linspace(-3.0, 3.0, 13))
@@ -410,73 +411,30 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# Poisson versus binomial scaled variance
+# the fixed-n (binomial) scaled variance
 
-@dataclass(frozen=True)
-class PoissonBinomialRow:
-    alpha: float
-    poisson_scaled_var: float
-    poisson_se: float
-    binomial_scaled_var: float
-    binomial_se: float
-    predicted_excess: float  # delta_alpha^2: unit density on the unit interval
+def binomial_scaled_variances(alphas, n: int, replicates: int,
+                              seed: int) -> list[tuple[float, float]]:
+    """n^(2a-1) Var[sum of nearest-neighbour gaps^a] of n i.i.d. uniform
+    points on [0, 1], with its standard error, for each exponent a.
 
-    @property
-    def excess(self) -> float:
-        return self.poisson_scaled_var - self.binomial_scaled_var
-
-    @property
-    def combined_se(self) -> float:
-        return float(np.hypot(self.poisson_se, self.binomial_se))
-
-
-def compare_poisson_binomial(alphas, lam: float, replicates: int,
-                             seed: int) -> list[PoissonBinomialRow]:
-    """Scaled variances of the region sum under Poisson(lam) and binomial(n=lam).
-
-    Both processes live on the unit interval with unit density; the same
-    replicate configurations are reused across the requested exponents.  The
-    Poisson scaled variance should exceed the binomial one by the squared
-    Poisson-excess coefficient.  A Poisson draw with fewer than 2 points is
-    redrawn on the replicate's retry streams, as in ``run_replicates``
-    (``first_with``); after 3 retries the run aborts with RuntimeError.
-    The binomial draw has round(lam) points, so lam must round to 2 or more.
+    Replicate r draws stream BINOMIAL_STREAM_BASE + r of the seed, and one
+    draw serves every exponent.  The limit is v_alpha(a); a Poisson process
+    of unit density adds delta_alpha(a)^2, which the engine's "scaled_var"
+    of the same plan carries.
     """
+    if n < 2:
+        raise ValueError(f"n={n}: a nearest neighbour needs at least 2 points")
     alphas = [float(a) for a in alphas]
-    n_points = int(round(lam))
-    if n_points < 2:
-        raise ValueError(f"lam={lam} rounds to {n_points} binomial points; "
-                         f"a nearest neighbour needs at least 2")
     region = Region.interval(0.0, 1.0)
-    density = DensitySpec.homogeneous(region)
-    k = len(alphas)
-    # columns: the Poisson region sum per exponent, then the binomial ones
-    data = np.empty((replicates, 2 * k))
     rng = point_process.generator(seed, 0)  # re-keyed for every draw
+    data = np.empty((replicates, len(alphas)))
     for r in range(replicates):
-        draws = (sample_poisson(density, lam, seed, stream=stream, rng=rng)
-                 for stream in replicate_streams(r))
-        cfg_p = first_with(2, draws, f"replicate {r} at lambda={lam}")
-        cfg_b = sample_binomial(region, n_points, seed,
-                                stream=BINOMIAL_STREAM_BASE + r, rng=rng)
-        # every point lies in the region, so the region sum is the plain sum;
-        # the nearest-neighbour gaps are shared across exponents
-        d_p = nn_distances(cfg_p.points)
-        d_b = nn_distances(cfg_b.points)
-        for j, a in enumerate(alphas):
-            data[r, j] = np.sum(d_p ** a)
-            data[r, k + j] = np.sum(d_b ** a)
+        config = sample_binomial(region, n, seed,
+                                 stream=BINOMIAL_STREAM_BASE + r, rng=rng)
+        gaps = nn_distances(config.points)
+        data[r] = [np.sum(gaps ** a) for a in alphas]
     summary = estimate_moments(data)
-    rows = []
-    for j, a in enumerate(alphas):
-        scale = lam ** (2.0 * a - 1.0)
-        scale_b = float(n_points) ** (2.0 * a - 1.0)
-        rows.append(PoissonBinomialRow(
-            alpha=a,
-            poisson_scaled_var=float(scale * summary.var[j]),
-            poisson_se=float(scale * summary.se_var[j]),
-            binomial_scaled_var=float(scale_b * summary.var[k + j]),
-            binomial_se=float(scale_b * summary.se_var[k + j]),
-            predicted_excess=delta_alpha(a) ** 2,
-        ))
-    return rows
+    scales = [n ** (2.0 * a - 1.0) for a in alphas]
+    return [(float(c * var), float(c * se))
+            for c, var, se in zip(scales, summary.var, summary.se_var)]

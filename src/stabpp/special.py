@@ -75,8 +75,8 @@ def _gauss_2f1(a: float, b: float, c: float, z: float) -> float:
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"weight exponent must be > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"weight exponent must be positive and finite, got {alpha}")
     return alpha
 
 

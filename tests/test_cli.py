@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,10 @@ import stabpp
 from stabpp import cli
 from stabpp import experiments as ex
 from stabpp.special import delta_alpha_sq, v_alpha
+
+
+# one more worker than the CPUs, the smallest count simulate refuses
+TOO_MANY_WORKERS = str((os.cpu_count() or 1) + 1)
 
 
 def base_config(**overrides):
@@ -419,12 +424,21 @@ class TestBadValues:
         (["simulate", "--workers", "-3"], None, "--workers"),
         (["simulate", "--workers", "0"], None, "--workers"),
         (["simulate"], "0", "STABPP_WORKERS"),
+        (["simulate", "--workers", TOO_MANY_WORKERS], None, "--workers"),
+        (["simulate"], TOO_MANY_WORKERS, "STABPP_WORKERS"),
     ], ids=["lambda_negative", "lambda_zero", "lambda_nan", "lambda_infinite",
             "n_negative", "n_poisson", "n_homogeneous", "workers_negative",
-            "workers_zero", "env_workers_zero"])
+            "workers_zero", "env_workers_zero", "workers_above_cpus",
+            "env_workers_above_cpus"])
     def test_bad_flag_exits_2_naming_the_flag(self, tmp_path, capsys,
                                               monkeypatch, argv, env, named):
-        # every worker count here is below 1, so no pool can start
+        # a pool forks all its workers at once: a stub in place of the pool
+        # class fails the test, forking nothing, if a bad count gets through
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", NoPool)
         if env is not None:
             monkeypatch.setenv("STABPP_WORKERS", env)
         path = write_config(tmp_path, base_config(replicates=4))
@@ -456,31 +470,37 @@ class TestRateTable:
     rate_fit lists it, so a skipped fit marks every row 0."""
 
     @staticmethod
-    def run(tmp_path, replicates):
-        # the criterion-5 plan at seed 1
+    def run(tmp_path, capsys, replicates, warning):
+        # the criterion-5 plan at seed 1; the censoring warning is one
+        # stderr line, with no source path
         cfg = write_config(tmp_path, base_config(
             functional={"family": "nn_directed", "alpha": 3.0},
             lambda_grid=[100.0, 400.0, 1600.0, 6400.0], replicates=replicates,
             seed=1))
         out = tmp_path / "run"
-        with pytest.warns(UserWarning, match="censored"):
-            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "warning" in line] == [warning]
         payload = json.loads((out / "report.json").read_text())["payload"]
         rows = (out / "rate.csv").read_text().splitlines()
         return payload, [row.split(",") for row in rows[1:5]], rows
 
-    def test_skipped_fit_uses_no_intensity(self, tmp_path):
+    def test_skipped_fit_uses_no_intensity(self, tmp_path, capsys):
         # at 1000 replicates lambda = 100 and 400 sit above the noise floor,
         # two intensities, too few to fit
-        payload, rows, lines = self.run(tmp_path, 1000)
+        payload, rows, lines = self.run(
+            tmp_path, capsys, 1000, "warning: lambdas [1600.0, 6400.0] censored "
+            "from rate fit: discrepancy below noise floor 0.03162")
         assert payload["rate_fit"] is None
         assert payload["censored_lambdas"] == [1600.0, 6400.0]
         assert [(lam, used) for lam, _, used in rows] == [
             ("100", "0"), ("400", "0"), ("1600", "0"), ("6400", "0")]
         assert len(lines) == 5  # no fit row
 
-    def test_fitted_run_marks_the_fitted_intensities(self, tmp_path):
-        payload, rows, lines = self.run(tmp_path, 2000)
+    def test_fitted_run_marks_the_fitted_intensities(self, tmp_path, capsys):
+        payload, rows, lines = self.run(
+            tmp_path, capsys, 2000, "warning: lambdas [6400.0] censored from "
+            "rate fit: discrepancy below noise floor 0.02236")
         assert payload["rate_fit"]["lambdas_used"] == [100.0, 400.0, 1600.0]
         assert [(lam, used) for lam, _, used in rows] == [
             ("100", "1"), ("400", "1"), ("1600", "1"), ("6400", "0")]
@@ -586,15 +606,18 @@ class TestRateCommand:
             functional={"family": "nn_directed", "alpha": 3.0},
             lambda_grid=[100.0, 400.0, 1600.0, 6400.0], replicates=2000, seed=1))
         out = tmp_path / "run"
-        with pytest.warns(UserWarning, match="censored"):
-            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        warning = ("warning: lambdas [6400.0] censored from rate fit: "
+                   "discrepancy below noise floor 0.02236")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert warning in capsys.readouterr().err.splitlines()
         payload = json.loads((out / "report.json").read_text())["payload"]
         assert payload["censored_lambdas"] == [6400.0]
         assert payload["rate_fit"]["lambdas_used"] == [100.0, 400.0, 1600.0]
-        capsys.readouterr()
         assert cli.main(["rate", "--report", str(out / "report.json"),
                          "--json"]) == 0
-        assert json.loads(capsys.readouterr().out) == payload["rate_fit"]
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == payload["rate_fit"]
+        assert captured.err == warning + "\n"
 
 
 def _inline_fit(x, y):

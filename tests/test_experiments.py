@@ -14,8 +14,9 @@ from stabpp import cli
 from stabpp import experiments as ex
 from stabpp.functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
                                 TestFunctionSpec, t_vector)
+from stabpp.neighbors import nn_distances
 from stabpp.point_process import (DensitySpec, generator, replicate_streams,
-                                  sample_poisson)
+                                  sample_binomial, sample_poisson)
 from stabpp.regions import Region
 from stabpp.special import ndtr, v_alpha
 
@@ -509,33 +510,45 @@ class TestPipeline:
 
     def test_binomial_variance_matches_formula_constant(self):
         # Monte Carlo route to the same constant the closed form produces
-        rows = ex.compare_poisson_binomial([1.0], lam=1500.0, replicates=3000,
-                                           seed=19)
-        row = rows[0]
-        assert row.binomial_scaled_var == pytest.approx(
-            v_alpha(1.0), abs=4.0 * row.binomial_se)
+        ((scaled_var, se),) = ex.binomial_scaled_variances(
+            [1.0], n=1500, replicates=3000, seed=19)
+        assert scaled_var == pytest.approx(v_alpha(1.0), abs=4.0 * se)
 
     def test_poisson_excess_sign_for_alpha_2(self):
-        rows = ex.compare_poisson_binomial([2.0], lam=800.0, replicates=2500,
-                                           seed=23)
-        row = rows[0]
-        assert row.excess > 0.0
-        assert row.excess == pytest.approx(0.25, abs=4.0 * row.combined_se + 0.02)
+        # the Poisson side is the engine's scaled variance of the same plan
+        (rs,) = directed_report(2.0, [1.0], [(0.0, 1.0)], 800.0, 2500,
+                                23)["per_lambda"][0]["regions"]
+        ((binomial_var, binomial_se),) = ex.binomial_scaled_variances(
+            [2.0], n=800, replicates=2500, seed=23)
+        excess = rs["scaled_var"] - binomial_var
+        combined_se = np.hypot(rs["se_scaled_var"], binomial_se)
+        assert excess > 0.0
+        assert excess == pytest.approx(0.25, abs=4.0 * combined_se + 0.02)
 
-    def test_small_lambda_fails_fast(self):
-        # lambda = 0.3 rounds to a binomial draw of 0 points: refused before
-        # any draw, naming lam
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_points_fail_fast(self, n):
+        # no nearest neighbour with fewer than 2 points: refused before any
+        # draw, naming n
         started = time.perf_counter()
-        with pytest.raises(ValueError, match="lam=0.3"):
-            ex.compare_poisson_binomial([1.0], lam=0.3, replicates=5, seed=0)
+        with pytest.raises(ValueError, match=f"n={n}"):
+            ex.binomial_scaled_variances([1.0], n=n, replicates=5, seed=0)
         assert time.perf_counter() - started < 1.0
 
-    def test_short_poisson_draws_exhaust_the_retries(self):
-        # at lambda = 1.5 the binomial draw has 2 points, but a Poisson draw
-        # has fewer than 2 with probability 0.56; four such draws in a row
-        # (p ~ 0.1) abort the run instead of hanging
-        with pytest.raises(RuntimeError, match="retries"):
-            ex.compare_poisson_binomial([1.0], lam=1.5, replicates=40, seed=0)
+    def test_binomial_draws_one_stream_per_replicate_for_every_alpha(self):
+        # replicate r draws binomial stream r once; every exponent sums the
+        # same gaps
+        alphas, n = [0.5, 1.0, 2.0], 50
+        data = []
+        for r in range(30):
+            points = sample_binomial(Region.interval(0.0, 1.0), n, 3,
+                                     stream=(1 << 36) + r).points
+            gaps = nn_distances(points)
+            data.append([np.sum(gaps ** a) for a in alphas])
+        summary = ex.estimate_moments(np.array(data))
+        expected = [(n ** (2.0 * a - 1.0) * var, n ** (2.0 * a - 1.0) * se)
+                    for a, var, se in zip(alphas, summary.var, summary.se_var)]
+        assert ex.binomial_scaled_variances(alphas, n=n, replicates=30,
+                                            seed=3) == expected
 
     def test_normal_cdf_reference(self):
         # ndtr is the Phi used throughout; pin it against the error function

@@ -120,6 +120,13 @@ class TestLimits:
         with pytest.raises(ValueError):
             sp.exp_moment(0.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    @pytest.mark.parametrize("constant", ["exp_moment", "delta_alpha", "v_alpha"])
+    def test_non_finite_alpha_is_refused(self, constant, alpha):
+        # each would return nan rather than a constant
+        with pytest.raises(ValueError, match="positive and finite"):
+            getattr(sp, constant)(alpha)
+
     def test_v1_consistency_identity(self):
         # binds gamma, the hypergeometric series, and the arithmetic at once
         assert sp.v_alpha(1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)

@@ -28,7 +28,7 @@ from .functionals import FunctionalSpec, TestFunctionSpec, stabilization_probe
 from .point_process import (DensitySpec, sample_binomial,
                             sample_homogeneous_line, sample_poisson)
 from .regions import Box, Region
-from .special import delta_alpha, exp_moment, v_alpha
+from .special import delta_alpha, delta_alpha_sq, exp_moment, v_alpha
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -321,12 +321,12 @@ def _cmd_constants(args) -> int:
     rows = []
     for a in args.alpha:
         try:
-            d = delta_alpha(a)
+            rows.append({"alpha": a, "v_alpha": v_alpha(a),
+                         "delta_alpha": delta_alpha(a), "mean_coeff": exp_moment(a),
+                         "delta_alpha_sq": delta_alpha_sq(a)})
         except ValueError as err:
             print(f"error: --alpha: {err}", file=sys.stderr)
             return EXIT_USAGE
-        rows.append({"alpha": a, "v_alpha": v_alpha(a), "delta_alpha": d,
-                     "delta_alpha_sq": d * d, "mean_coeff": exp_moment(a)})
     if args.json:
         print(json.dumps(rows, sort_keys=True))
         return EXIT_OK
@@ -446,29 +446,22 @@ def _cmd_stab_probe(args) -> int:
     probe, _ = _parse_probe_and_check(config)
     seed = _seed(config, args.seed)
     out_dir = _resolve(args.out, None, _env("OUT", str), ".")
-    result = stabilization_probe(
+    payload = stabilization_probe(
         fields["density"], probe["lambda"], fields["functional"],
         probe_count=probe["count"], resample_count=probe["resamples"],
         seed=seed)
-    payload = {
-        "decay_slope": result.decay_slope,
-        "r_squared": result.r_squared,
-        "fit_window": list(result.fit_window),
-        "censored_count": int(result.censored.sum()),
-        "tail": [{"t": float(t), "tail_prob": float(p)}
-                 for t, p in zip(result.t_grid, result.tail_probs)],
-    }
     meta = _meta(config, seed, started)
     path = _write_report(out_dir, payload, meta)
     with open(os.path.join(out_dir, "tail.csv"), "w", encoding="utf-8") as fh:
         fh.write("t,tail_prob,censored_count\n")
-        for t, p in zip(result.t_grid, result.tail_probs):
-            fh.write(f"{_fmt(t)},{_fmt(p)},{payload['censored_count']}\n")
+        for row in payload["tail"]:
+            fh.write(f"{_fmt(row['t'])},{_fmt(row['tail_prob'])},"
+                     f"{payload['censored_count']}\n")
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"wrote {path} (decay slope {result.decay_slope:.4f}, "
-              f"R^2 {result.r_squared:.4f})")
+        print(f"wrote {path} (decay slope {payload['decay_slope']:.4f}, "
+              f"R^2 {payload['r_squared']:.4f})")
     return EXIT_OK
 
 
@@ -478,8 +471,8 @@ _REPORT_VALUES = (
 
 
 def _rate_inputs(doc) -> tuple[list, list, int]:
-    """The intensities, discrepancies and replicate count of a report (its
-    payload, or the document itself), each checked."""
+    """The intensities (strictly increasing), discrepancies and replicate
+    count of a report (its payload, or the document itself), each checked."""
     payload = doc.get("payload", doc) if isinstance(doc, dict) else None
     if not isinstance(payload, dict):
         raise ConfigError("report must be a JSON object")
@@ -495,6 +488,9 @@ def _rate_inputs(doc) -> tuple[list, list, int]:
             if not ok(_parse_number(entry[key], f"per_lambda[{i}].{key}")):
                 raise ConfigError(
                     f"per_lambda[{i}].{key} must be {kind}, got {entry[key]!r}")
+        if i and not entry["lambda"] > per_lambda[i - 1]["lambda"]:
+            raise ConfigError(f"per_lambda[{i}].lambda must be above the one "
+                              f"before it, got {entry['lambda']!r}")
     if "replicates" not in payload:
         raise ConfigError('missing required key "replicates" in report')
     replicates = _parse_number(payload["replicates"], "replicates", int)

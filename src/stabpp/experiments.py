@@ -43,10 +43,6 @@ from .special import delta_alpha_sq, exp_moment, ndtr, v_alpha
 __all__ = [
     "DEFAULT_T_GRID",
     "ExperimentPlan",
-    "EstimatorSummary",
-    "JointDiscrepancy",
-    "DegenerateComponentError",
-    "GridBudgetError",
     "run_replicates",
     "estimate_moments",
     "standardize",
@@ -60,21 +56,13 @@ __all__ = [
 DEFAULT_T_GRID = tuple(np.linspace(-3.0, 3.0, 13))
 
 
-class DegenerateComponentError(ValueError):
-    """A component with zero sample variance cannot be standardized."""
-
-
-class GridBudgetError(ValueError):
-    """The full product grid exceeds the node budget; use a coarser grid."""
-
-
 _GRID_BUDGET = 100_000  # m * g^m nodes: m axes of g thresholds each
 
 
 def _check_grid(m: int, g: int, where: str) -> None:
     if m * g ** m > _GRID_BUDGET:
-        raise GridBudgetError(f"{where} of {g}^{m} nodes exceeds the budget "
-                              f"{_GRID_BUDGET}; use a coarser grid")
+        raise ValueError(f"{where} of {g}^{m} nodes exceeds the budget "
+                         f"{_GRID_BUDGET}; use a coarser grid")
 
 
 @dataclass(frozen=True)
@@ -132,6 +120,7 @@ class ExperimentPlan:
             if region.disjoint_from(live):
                 raise ValueError(f"regions[{i}] overlaps no density box of "
                                  f"positive weight")
+        _targets(self)  # limits beyond a double refuse the plan before any draw
 
 
 def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec, r: int,
@@ -174,20 +163,9 @@ def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
     return data
 
 
-@dataclass(frozen=True)
-class EstimatorSummary:
-    """Sample moments of the rows of a (samples x components) matrix."""
-
-    n: int
-    mean: np.ndarray
-    var: np.ndarray            # unbiased
-    se_mean: np.ndarray
-    se_var: np.ndarray         # fourth-central-moment formula
-
-
-def estimate_moments(data: np.ndarray) -> EstimatorSummary:
-    """Mean, unbiased variance, and standard errors of mean and variance, per
-    column."""
+def estimate_moments(data: np.ndarray) -> np.ndarray:
+    """Per column: mean, its standard error, unbiased variance and its standard
+    error (fourth-central-moment formula), as the rows of a (4, columns) array."""
     n = len(data)
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -196,16 +174,14 @@ def estimate_moments(data: np.ndarray) -> EstimatorSummary:
     var = np.diag(centred.T @ centred) / (n - 1)
     m4 = np.mean(centred ** 4, axis=0)
     var_of_var = np.maximum(m4 - var ** 2 * (n - 3) / (n - 1), 0.0) / n
-    return EstimatorSummary(n=n, mean=mean, var=var,
-                            se_mean=np.sqrt(var / n), se_var=np.sqrt(var_of_var))
+    return np.array([mean, np.sqrt(var / n), var, np.sqrt(var_of_var)])
 
 
-def standardize(data: np.ndarray, summary: EstimatorSummary) -> np.ndarray:
+def standardize(data: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Componentwise (T - mean) / sqrt(var) using the sample estimates."""
-    if np.any(summary.var <= 0.0):
-        bad = int(np.argmin(summary.var))
-        raise DegenerateComponentError(f"component {bad} has zero sample variance")
-    return (data - summary.mean) / np.sqrt(summary.var)
+    if np.any(var <= 0.0):
+        raise ValueError(f"component {int(np.argmin(var))} has zero sample variance")
+    return (data - mean) / np.sqrt(var)
 
 
 def ks_to_normal(values) -> float:
@@ -220,18 +196,11 @@ def ks_to_normal(values) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-@dataclass(frozen=True)
-class JointDiscrepancy:
-    """Sup over the threshold grid of |joint empirical CDF - product normal CDF|."""
-
-    sup: float
-    argmax_node: tuple[float, ...]
-
-
 def product_form_discrepancy(standardized: np.ndarray,
                              t_grid: Sequence[float] | None = None
-                             ) -> JointDiscrepancy:
-    """Product-form discrepancy of standardized samples on a full grid.
+                             ) -> tuple[float, tuple[float, ...]]:
+    """Sup over a full grid of |joint empirical CDF - product normal CDF| of
+    standardized samples (the product-form discrepancy), and its grid node.
 
     The grid is the m-fold product of the per-axis thresholds (default 13
     points on [-3, 3]); the node count m * |grid|^m must stay within
@@ -271,10 +240,7 @@ def product_form_discrepancy(standardized: np.ndarray,
     diff = np.abs(cdf - prod)
     flat = int(np.argmax(diff))
     node = np.unravel_index(flat, diff.shape)
-    return JointDiscrepancy(
-        sup=float(diff[node]),
-        argmax_node=tuple(float(grid[i]) for i in node),
-    )
+    return float(diff[node]), tuple(float(grid[i]) for i in node)
 
 
 def fit_rate(lambdas, discrepancies, replicates: int
@@ -317,6 +283,7 @@ def _targets(plan: ExperimentPlan) -> list[tuple[float, float]] | None:
     limits are E[D^a] sum_b v_b J_b(1-a) and (v_a + delta_a^2) sum_b v_b^2
     J_b(1-2a), with J_b(p) the integral of kappa^p over box b.  Boxes of
     zero weight hold no points and are skipped (0^p is infinite for p < 0).
+    A limit beyond a double raises ValueError naming functional.alpha.
     """
     if (plan.functional.family != DIRECTED_NN
             or plan.density.region.dimension != 1):
@@ -333,24 +300,30 @@ def _targets(plan: ExperimentPlan) -> list[tuple[float, float]] | None:
                    for w, lo, hi in pieces
                    for v, box in zip(values, f.region.boxes))
 
-    mean_coef = exp_moment(alpha)
-    var_coef = v_alpha(alpha) + delta_alpha_sq(alpha)
-    return [(mean_coef * integral(f, 1, 1.0 - alpha),
-             var_coef * integral(f, 2, 1.0 - 2.0 * alpha))
-            for f in plan.test_functions]
+    try:
+        mean_coef = exp_moment(alpha)
+        var_coef = v_alpha(alpha) + delta_alpha_sq(alpha)
+        targets = [(mean_coef * integral(f, 1, 1.0 - alpha),
+                    var_coef * integral(f, 2, 1.0 - 2.0 * alpha))
+                   for f in plan.test_functions]
+    except (ValueError, OverflowError):  # a constant or a power of kappa
+        targets = [(np.inf, np.inf)]
+    if not np.isfinite(targets).all():
+        raise ValueError(f"functional.alpha={alpha:g}: the closed-form targets "
+                         f"overflow a double")
+    return targets
 
 
-def _lambda_report(plan: ExperimentPlan, lam: float, data: np.ndarray) -> dict:
-    """The "per_lambda" entry of one intensity's (replicates x regions) data."""
+def _lambda_report(plan: ExperimentPlan, lam: float, data: np.ndarray,
+                   targets: list[tuple[float, float]] | None) -> dict:
+    """The "per_lambda" entry of one intensity's (replicates x regions) data;
+    with ``targets`` (the directed statistic on the line) it also gives the
+    moments divided by lambda, their scale."""
     m = len(plan.test_functions)
-    # where closed-form targets exist (the directed statistic on the line),
-    # the report also gives the moments divided by lambda, their scale
-    targets = _targets(plan)
-    summary = estimate_moments(data)
-    std = standardize(data, summary)
+    moments = estimate_moments(data)
+    std = standardize(data, moments[0], moments[2])
     corr = np.corrcoef(std, rowvar=False).reshape(m, m)
-    joint = product_form_discrepancy(std, plan.t_grid)
-    moments = np.array([summary.mean, summary.se_mean, summary.var, summary.se_var])
+    sup, argmax_node = product_form_discrepancy(std, plan.t_grid)
     regions = []
     for i in range(m):
         mean, se_mean, var, se_var = moments[:, i].tolist()
@@ -363,8 +336,8 @@ def _lambda_report(plan: ExperimentPlan, lam: float, data: np.ndarray) -> dict:
                       scaled_var=var / lam, se_scaled_var=se_var / lam,
                       target_mean=targets[i][0], target_var=targets[i][1])
         regions.append(rs)
-    return {"lambda": lam, "joint_discrepancy": joint.sup,
-            "argmax_node": list(joint.argmax_node),
+    return {"lambda": lam, "joint_discrepancy": sup,
+            "argmax_node": list(argmax_node),
             "correlations": corr.tolist(), "regions": regions}
 
 
@@ -385,12 +358,13 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
     With workers > 1 one process pool serves every intensity of the run.
     ``progress``, when given, is called with each intensity and its entry.
     """
+    targets = _targets(plan)
     per_lambda = []
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         for lam in plan.lambda_grid:
             data = run_replicates(plan, lam, pool=pool, workers=workers)
-            per_lambda.append(_lambda_report(plan, lam, data))
+            per_lambda.append(_lambda_report(plan, lam, data, targets))
             if progress is not None:
                 progress(lam, per_lambda[-1])
 
@@ -434,7 +408,7 @@ def binomial_scaled_variances(alphas, n: int, replicates: int,
                                  stream=BINOMIAL_STREAM_BASE + r, rng=rng)
         gaps = nn_distances(config.points)
         data[r] = [np.sum(gaps ** a) for a in alphas]
-    summary = estimate_moments(data)
+    _, _, var, se_var = estimate_moments(data)
     scales = [n ** (2.0 * a - 1.0) for a in alphas]
-    return [(float(c * var), float(c * se))
-            for c, var, se in zip(scales, summary.var, summary.se_var)]
+    return [(float(c * v), float(c * se))
+            for c, v, se in zip(scales, var, se_var)]

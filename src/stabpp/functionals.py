@@ -39,7 +39,6 @@ __all__ = [
     "KNN_UNDIRECTED",
     "FunctionalSpec",
     "TestFunctionSpec",
-    "StabilizationProbeResult",
     "t_vector",
     "stabilization_probe",
     "fit_line",
@@ -186,19 +185,6 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-@dataclass
-class StabilizationProbeResult:
-    """Empirical stabilization radii with tail estimates and decay fit."""
-
-    radii: np.ndarray           # (probe_count,) dilated-scale radii
-    censored: np.ndarray        # (probe_count,) bool, radius is a lower bound
-    t_grid: np.ndarray
-    tail_probs: np.ndarray      # P[R > t] with censored radii as lower bounds
-    decay_slope: float
-    r_squared: float
-    fit_window: tuple[float, float]
-
-
 def _xi_at(x: np.ndarray, points: np.ndarray, spec: FunctionalSpec,
            dimension: int) -> float:
     """The score of x added to the points as their last row, all dilated by
@@ -229,9 +215,61 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
+def _probe_radius(density: DensitySpec, spec: FunctionalSpec,
+                  resample_count: int, seed: int, i: int) -> tuple[float, bool]:
+    """Probe i's dilated stabilization radius, and whether it is censored.
+
+    Probe i draws, from stream ``PROBE_STREAM_BASE + i``, its location x,
+    then its base configuration, then every redraw of the radius search.
+    """
+    d, lam = density.region.dimension, spec.lam
+    scale = lam ** (1.0 / d)
+    lo, hi = density.region.bounding_box()
+    r_max = scale * float(np.sqrt(np.sum((hi - lo) ** 2))) + 1.0
+    rng = generator(seed, PROBE_STREAM_BASE + i)
+    x = sample_location(density, rng)
+    draws = (sample_poisson_rng(density, lam, rng) for _ in itertools.count())
+    base = first_with(spec.min_points, draws,
+                      f"probe {i} at probe.lambda={lam} with functional.k={spec.k}")
+    xi0 = _xi_at(x, base, spec, d)
+    diff = base - x
+    base_d2 = np.einsum("ij,ij->i", diff, diff)
+
+    def invariant(r: float) -> bool:
+        ball = base_d2 <= (r / scale) ** 2
+        for _ in range(resample_count):
+            fresh = sample_poisson_rng(density, lam, rng)
+            fd = fresh - x
+            outside = np.einsum("ij,ij->i", fd, fd) > (r / scale) ** 2
+            mixed = np.vstack([base[ball], fresh[outside]])
+            if len(mixed) < spec.min_points:
+                return False
+            xi1 = _xi_at(x, mixed, spec, d)
+            if abs(xi1 - xi0) > _PROBE_REL_TOL * max(1.0, abs(xi0)):
+                return False
+        return True
+
+    if invariant(0.0):
+        return 0.0, False
+    hi_r = max(r_max / 1024.0, 1e-6)
+    while hi_r < r_max and not invariant(hi_r):
+        hi_r *= 2.0
+    if hi_r >= r_max and not invariant(r_max):
+        return r_max, True
+    hi_r = min(hi_r, r_max)
+    lo_r = 0.0
+    for _ in range(18):
+        mid = 0.5 * (lo_r + hi_r)
+        if invariant(mid):
+            hi_r = mid
+        else:
+            lo_r = mid
+    return hi_r, False
+
+
 def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
                         probe_count: int, resample_count: int,
-                        seed: int) -> StabilizationProbeResult:
+                        seed: int) -> dict:
     """Estimate the stabilization-radius distribution by rerandomization.
 
     For each probe location x (drawn from the density), searches for the
@@ -239,10 +277,11 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
     ``resample_count`` independent redraws of every point outside the ball of
     radius r * lambda^(-1/d) around x.  Searches that hit the dilated region
     diameter without stabilizing are flagged censored and enter the tail
-    estimate as lower bounds.  Probe i draws everything from stream
-    ``PROBE_STREAM_BASE + i``; a base draw with fewer than k+1 points is
+    estimate as lower bounds.  A base draw with fewer than k+1 points is
     redrawn, and after 3 retries the probe raises RuntimeError naming
-    ``probe.lambda`` and ``functional.k``.
+    ``probe.lambda`` and ``functional.k``.  Returns the payload of
+    ``stab-probe``: "tail" (rows {"t", "tail_prob"}), the decay fit's
+    "decay_slope", "r_squared" and "fit_window", and "censored_count".
     """
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
@@ -250,58 +289,9 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
         raise ValueError("resample_count must be >= 1")
     if not lam >= 1.0:
         raise ValueError("probe requires lambda >= 1")
-    d = density.region.dimension
     spec = spec.with_lambda(lam)
-    scale = lam ** (1.0 / d)
-    lo, hi = density.region.bounding_box()
-    diam = float(np.sqrt(np.sum((hi - lo) ** 2)))
-    r_max = scale * diam + 1.0
-
-    radii = np.empty(probe_count)
-    censored = np.zeros(probe_count, dtype=bool)
-    for i in range(probe_count):
-        rng = generator(seed, PROBE_STREAM_BASE + i)
-        x = sample_location(density, rng)
-        draws = (sample_poisson_rng(density, lam, rng) for _ in itertools.count())
-        base = first_with(spec.min_points, draws,
-                          f"probe {i} at probe.lambda={lam} with functional.k={spec.k}")
-        xi0 = _xi_at(x, base, spec, d)
-        diff = base - x
-        base_d2 = np.einsum("ij,ij->i", diff, diff)
-
-        def invariant(r: float) -> bool:
-            ball = base_d2 <= (r / scale) ** 2
-            for _ in range(resample_count):
-                fresh = sample_poisson_rng(density, lam, rng)
-                fd = fresh - x
-                outside = np.einsum("ij,ij->i", fd, fd) > (r / scale) ** 2
-                mixed = np.vstack([base[ball], fresh[outside]])
-                if len(mixed) < spec.min_points:
-                    return False
-                xi1 = _xi_at(x, mixed, spec, d)
-                if abs(xi1 - xi0) > _PROBE_REL_TOL * max(1.0, abs(xi0)):
-                    return False
-            return True
-
-        if invariant(0.0):
-            radii[i] = 0.0
-            continue
-        hi_r = max(r_max / 1024.0, 1e-6)
-        while hi_r < r_max and not invariant(hi_r):
-            hi_r *= 2.0
-        if hi_r >= r_max and not invariant(r_max):
-            radii[i] = r_max
-            censored[i] = True
-            continue
-        hi_r = min(hi_r, r_max)
-        lo_r = 0.0
-        for _ in range(18):
-            mid = 0.5 * (lo_r + hi_r)
-            if invariant(mid):
-                hi_r = mid
-            else:
-                lo_r = mid
-        radii[i] = hi_r
+    radii, censored = np.array([_probe_radius(density, spec, resample_count, seed, i)
+                                for i in range(probe_count)]).T
 
     t_grid = np.linspace(0.0, _quantile(radii, 0.999), 41)
     tail_probs = np.array([(radii > t).mean() for t in t_grid])
@@ -310,11 +300,12 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
     sel = (tail_probs <= 0.5) & (tail_probs >= 5.0 / probe_count)
     if sel.sum() < 3:
         sel = tail_probs > 0.0
-    slope, r2, window = 0.0, 1.0, (0.0, 0.0)
+    slope, r2, window = 0.0, 1.0, [0.0, 0.0]
     if sel.sum() >= 2:  # else every probe stabilized at one radius: no tail
         ts = t_grid[sel]
         slope, _, r2 = fit_line(ts, np.log(tail_probs[sel]))
-        window = (float(ts[0]), float(ts[-1]))
-    return StabilizationProbeResult(
-        radii=radii, censored=censored, t_grid=t_grid, tail_probs=tail_probs,
-        decay_slope=slope, r_squared=r2, fit_window=window)
+        window = [float(ts[0]), float(ts[-1])]
+    return {"decay_slope": slope, "r_squared": r2, "fit_window": window,
+            "censored_count": int(censored.sum()),
+            "tail": [{"t": float(t), "tail_prob": float(p)}
+                     for t, p in zip(t_grid, tail_probs)]}

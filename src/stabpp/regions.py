@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "Box",
     "Region",
-    "CubeCover",
     "covering",
     "packing",
 ]
@@ -132,15 +131,6 @@ class Region:
         return not any(_boxes_overlap(a, b) for a in self.boxes for b in other.boxes)
 
 
-@dataclass(frozen=True)
-class CubeCover:
-    """Integer centers of unit cubes covering or packing a dilated region."""
-
-    centers: np.ndarray  # (count, d) int64
-    count: int
-    kind: str  # "covering" | "packing"
-
-
 # ---------------------------------------------------------------------------
 # box subtraction: the exact containment test of the packing
 
@@ -173,12 +163,7 @@ def _covered_by(piece, cuts) -> bool:
     (up to measure zero)."""
     pieces = [piece]
     for cut in cuts:
-        nxt = []
-        for p in pieces:
-            nxt.extend(_subtract(p, cut))
-        pieces = nxt
-        if not pieces:
-            return True
+        pieces = [q for p in pieces for q in _subtract(p, cut)]
     return not pieces
 
 
@@ -197,8 +182,9 @@ def _center_range(lo: float, hi: float) -> range:
     return range(z_lo, z_hi + 1)
 
 
-def covering(region: Region, lam: float) -> CubeCover:
-    """Integer centers whose closed unit cube meets the lambda^(1/d)-dilated region."""
+def covering(region: Region, lam: float) -> np.ndarray:
+    """The sorted (count, d) int64 integer centers whose closed unit cube meets
+    the lambda^(1/d)-dilated region."""
     if not lam > 0.0:
         raise ValueError("lambda must be positive")
     d = region.dimension
@@ -206,35 +192,23 @@ def covering(region: Region, lam: float) -> CubeCover:
     for lo, hi in _scaled_boxes(region, lam):
         ranges = [_center_range(lo[j], hi[j]) for j in range(d)]
         centers.update(itertools.product(*ranges))
-    arr = np.array(sorted(centers), dtype=np.int64).reshape(len(centers), d)
-    return CubeCover(centers=arr, count=len(centers), kind="covering")
+    return np.array(sorted(centers), dtype=np.int64).reshape(len(centers), d)
 
 
-def packing(region: Region, lam: float) -> CubeCover:
-    """Integer centers whose closed unit cube lies inside the closed dilated union.
+def packing(region: Region, lam: float) -> np.ndarray:
+    """The sorted (count, d) int64 integer centers whose closed unit cube lies
+    inside the closed dilated union.
 
     A cube spanning several adjacent boxes counts when the closed union covers
-    it; the test is exact up to measure-zero face slivers.
+    it; the test is exact up to measure-zero face slivers.  Every such cube
+    meets the region, so the covering's centers are the candidates.
     """
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive")
-    d = region.dimension
     scaled = _scaled_boxes(region, lam)
-    multi = len(scaled) > 1
-    kept: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for lo, hi in scaled:
-        ranges = [_center_range(lo[j], hi[j]) for j in range(d)]
-        for z in itertools.product(*ranges):
-            if z in seen:
-                continue
-            seen.add(z)
-            za = np.asarray(z, dtype=float)
-            cube = (za - 0.5, za + 0.5)
-            if np.all(cube[0] >= lo) and np.all(cube[1] <= hi):
-                kept.append(z)
-            elif multi and _covered_by(cube, scaled):
-                kept.append(z)
-    arr = (np.array(sorted(kept), dtype=np.int64).reshape(len(kept), d)
-           if kept else np.empty((0, d), dtype=np.int64))
-    return CubeCover(centers=arr, count=len(kept), kind="packing")
+    centers = covering(region, lam)
+    keep = np.zeros(len(centers), dtype=bool)
+    for lo, hi in scaled:  # the cubes inside one box
+        keep |= np.all((centers - 0.5 >= lo) & (centers + 0.5 <= hi), axis=1)
+    if len(scaled) > 1:  # and those that only the union covers
+        keep[~keep] = [_covered_by((z - 0.5, z + 0.5), scaled)
+                       for z in centers[~keep]]
+    return centers[keep]

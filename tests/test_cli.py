@@ -73,6 +73,15 @@ class TestConstantsCommand:
         assert "--alpha" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("alpha, gamma", [("85", "172"), ("171", "343")])
+    def test_overflowing_alpha_is_usage_error(self, capsys, alpha, gamma):
+        # Gamma(2 + 2 alpha) in v_alpha overflows a double from alpha ~ 84.8
+        assert cli.main(["constants", "--alpha", "1", alpha, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --alpha: Gamma({gamma}) overflows a "
+                                f"double at weight exponent {alpha}\n")
+        assert captured.out == ""
+
 
 class TestSimulateCommand:
     def test_smoke_report_schema(self, tmp_path, capsys):
@@ -231,7 +240,13 @@ class TestStabProbeCommand:
         assert doc["decay_slope"] < 0.0
         probs = [row["tail_prob"] for row in doc["tail"]]
         assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
-        assert (out / "tail.csv").exists()
+        # stdout is the report's payload, and tail.csv its tail row for row
+        assert json.loads((out / "report.json").read_text())["payload"] == doc
+        lines = (out / "tail.csv").read_text().splitlines()
+        assert lines[0] == "t,tail_prob,censored_count"
+        assert [[float(v) for v in line.split(",")] for line in lines[1:]] == [
+            [row["t"], row["tail_prob"], doc["censored_count"]]
+            for row in doc["tail"]]
 
     def test_unreachable_point_count_fails_fast(self, tmp_path):
         # k+1 = 31 points at mean 1 per draw: P(N >= 31) is about 5e-35, so
@@ -413,6 +428,25 @@ class TestBadValues:
             assert named in capsys.readouterr().err
             assert not (tmp_path / command).exists()
 
+    def test_overflowing_targets_exit_2_before_any_draw(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # alpha = 100 passes every rule of the functional, but v_alpha
+        # overflows a double, so the directed targets cannot be reported
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a configuration was drawn")
+
+        monkeypatch.setattr(ex, "sample_poisson", no_draw)
+        path = write_config(tmp_path, base_config(
+            functional={"family": "nn_directed", "alpha": 100.0},
+            lambda_grid=[50.0, 100.0], replicates=20))
+        for command in ("simulate", "sample"):
+            assert cli.main([command, "--config", path,
+                             "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: functional.alpha=100: the closed-form targets "
+                "overflow a double\n")
+            assert not (tmp_path / command).exists()
+
     @pytest.mark.parametrize("argv, env, named", [
         (["sample", "--lambda", "-5"], None, "--lambda"),
         (["sample", "--lambda", "0"], None, "--lambda"),
@@ -578,11 +612,15 @@ class TestRateCommand:
         ({}, {"replicates": 2.5}, "replicates"),
         ({}, {"replicates": True}, "replicates"),
         ({"lambda": True}, {}, "per_lambda[1].lambda"),
+        # a simulate report's intensities increase strictly, as its
+        # lambda_grid does; a fit through a repeat means nothing
+        ({"lambda": 100.0}, {}, "per_lambda[1].lambda must be above"),
+        ({"lambda": 50.0}, {}, "per_lambda[1].lambda must be above"),
     ], ids=["no_lambda", "no_discrepancy", "lambda_negative", "lambda_zero",
             "lambda_infinite", "discrepancy_above_1", "discrepancy_negative",
             "discrepancy_nan", "discrepancy_string", "no_replicates",
             "one_replicate", "replicates_not_integer", "replicates_bool",
-            "lambda_bool"])
+            "lambda_bool", "lambda_repeated", "lambda_decreasing"])
     def test_bad_report_exits_2_naming_the_key(self, tmp_path, capsys,
                                                entry, payload, named):
         """Each bad value of a report is a config error naming its key,

@@ -54,13 +54,16 @@ def matrix(values):
 
 class TestEstimators:
     def test_two_point_sample(self):
-        summary = ex.estimate_moments(matrix([0.0, 2.0]))
-        assert summary.mean[0] == 1.0
-        assert summary.var[0] == 2.0
+        mean, se_mean, var, se_var = ex.estimate_moments(matrix([0.0, 2.0]))
+        assert mean[0] == 1.0
+        assert var[0] == 2.0
+        assert se_mean[0] == 1.0  # sqrt(var / n)
 
     def test_constant_sample(self):
-        summary = ex.estimate_moments(matrix([3.0, 3.0, 3.0]))
-        assert summary.var[0] == 0.0
+        moments = ex.estimate_moments(matrix([3.0, 3.0, 3.0]))
+        assert moments.shape == (4, 1)
+        assert moments[2, 0] == 0.0
+        assert moments[3, 0] == 0.0
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -69,40 +72,39 @@ class TestEstimators:
     def test_gaussian_moments(self):
         rng = np.random.default_rng(0)
         draws = rng.standard_normal(100_000)
-        summary = ex.estimate_moments(matrix(draws))
-        assert abs(summary.mean[0]) <= 0.01
-        assert abs(summary.var[0] - 1.0) <= 0.02
+        mean, _, var, _ = ex.estimate_moments(matrix(draws))
+        assert abs(mean[0]) <= 0.01
+        assert abs(var[0] - 1.0) <= 0.02
 
     def test_variance_is_the_covariance_diagonal(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((500, 3)) @ np.diag([1.0, 2.0, 0.5])
-        summary = ex.estimate_moments(matrix(list(data)))
+        var = ex.estimate_moments(matrix(list(data)))[2]
         centred = data - data.mean(axis=0)
-        assert np.array_equal(summary.var,
-                              np.diag(centred.T @ centred) / (len(data) - 1))
+        assert np.array_equal(var, np.diag(centred.T @ centred) / (len(data) - 1))
 
 
 class TestStandardize:
     def test_identities(self):
         rng = np.random.default_rng(5)
         samples = matrix(rng.uniform(size=200))
-        summary = ex.estimate_moments(samples)
-        std = ex.standardize(samples, summary)
+        mean, _, var, _ = ex.estimate_moments(samples)
+        std = ex.standardize(samples, mean, var)
         assert abs(std.mean()) <= 1e-12
         assert abs(std.var(ddof=1) - 1.0) <= 1e-12
 
     def test_single_value_position(self):
         samples = matrix([0.0, 2.0])
-        summary = ex.estimate_moments(samples)
-        std = ex.standardize(samples, summary)
+        mean, _, var, _ = ex.estimate_moments(samples)
+        std = ex.standardize(samples, mean, var)
         # mean 1, sd sqrt(2): the sample at mean + sd standardizes to 1
         assert std[1, 0] == pytest.approx((2.0 - 1.0) / np.sqrt(2.0))
 
     def test_degenerate_component(self):
-        samples = matrix([1.0, 1.0, 1.0])
-        summary = ex.estimate_moments(samples)
-        with pytest.raises(ex.DegenerateComponentError):
-            ex.standardize(samples, summary)
+        samples = np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        mean, _, var, _ = ex.estimate_moments(samples)
+        with pytest.raises(ValueError, match="component 1 has zero sample variance"):
+            ex.standardize(samples, mean, var)
 
 
 class TestKolmogorov:
@@ -162,14 +164,13 @@ class TestProductForm:
         if on_nodes:
             # every other sample sits exactly on grid nodes
             std[::2] = rng.choice(np.asarray(grid), size=std[::2].shape)
-        joint = ex.product_form_discrepancy(std, grid)
-        assert (joint.sup, joint.argmax_node) == plain_product_form(std, grid)
+        assert ex.product_form_discrepancy(std, grid) == plain_product_form(std, grid)
 
     def test_independent_normals(self):
         rng = np.random.default_rng(11)
         std = rng.standard_normal((100_000, 2))
-        joint = ex.product_form_discrepancy(std)
-        assert joint.sup <= 0.01
+        sup, _ = ex.product_form_discrepancy(std)
+        assert sup <= 0.01
 
     def test_comonotone_pair_at_origin(self):
         # mirrored sample: the empirical CDF at 0 is exactly 1/2, so the node
@@ -178,24 +179,25 @@ class TestProductForm:
         half = rng.standard_normal(5000) + 1e-9
         z = np.concatenate([half, -half])
         std = np.column_stack([z, z])
-        joint = ex.product_form_discrepancy(std, t_grid=[0.0])
-        assert joint.sup == pytest.approx(0.25, abs=1e-12)
-        assert joint.argmax_node == (0.0, 0.0)
+        sup, argmax_node = ex.product_form_discrepancy(std, t_grid=[0.0])
+        assert sup == pytest.approx(0.25, abs=1e-12)
+        assert argmax_node == (0.0, 0.0)
 
     def test_m1_bounded_by_ks(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             z = rng.standard_normal(300)
-            joint = ex.product_form_discrepancy(z.reshape(-1, 1))
-            assert joint.sup <= ex.ks_to_normal(z) + 1e-15
+            sup, _ = ex.product_form_discrepancy(z.reshape(-1, 1))
+            assert sup <= ex.ks_to_normal(z) + 1e-15
 
     def test_budget_guard(self):
         std = np.zeros((10, 4))
-        with pytest.raises(ex.GridBudgetError, match="coarser"):
+        with pytest.raises(ValueError, match="grid of 13\\^4 nodes exceeds the "
+                                             "budget 100000; use a coarser grid"):
             ex.product_form_discrepancy(std)
         # a coarse grid brings the node count back under budget
-        joint = ex.product_form_discrepancy(std, t_grid=[-1.0, 0.0, 1.0])
-        assert 0.0 <= joint.sup <= 1.0
+        sup, _ = ex.product_form_discrepancy(std, t_grid=[-1.0, 0.0, 1.0])
+        assert 0.0 <= sup <= 1.0
 
     def test_same_floats_as_scipy_formula(self):
         rng = np.random.default_rng(31)
@@ -204,16 +206,16 @@ class TestProductForm:
         ind = [(std[:, i][:, None] <= grid[None, :]).astype(float) for i in range(2)]
         phi = scipy_ndtr(grid)
         diff = np.abs(ind[0].T @ ind[1] / len(std) - np.multiply.outer(phi, phi))
-        joint = ex.product_form_discrepancy(std)
-        assert joint.sup == float(diff.max())
+        sup, argmax_node = ex.product_form_discrepancy(std)
+        assert sup == float(diff.max())
         i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        assert joint.argmax_node == (float(grid[i]), float(grid[j]))
+        assert argmax_node == (float(grid[i]), float(grid[j]))
 
     def test_four_component_loop_path(self):
         rng = np.random.default_rng(23)
         std = rng.standard_normal((2000, 4))
-        joint = ex.product_form_discrepancy(std, t_grid=[-1.0, 0.0, 1.0])
-        assert joint.sup <= 0.08
+        sup, _ = ex.product_form_discrepancy(std, t_grid=[-1.0, 0.0, 1.0])
+        assert sup <= 0.08
 
 
 class TestRateFit:
@@ -325,12 +327,14 @@ class TestRunReplicates:
             ex.run_replicates(plan, 2.0)
 
     def test_non_finite_statistic_rejected(self):
-        # gaps near 100 raised to the power 200 overflow to inf
+        # gaps near 100 raised to the power 200 overflow to inf; the kNN
+        # family, since the directed family's closed-form targets at this
+        # exponent overflow first and refuse the plan
         region = Region.interval(0.0, 1000.0)
         plan = ex.ExperimentPlan(
             density=DensitySpec(region=region, weights=(0.01,), normalized=False),
             test_functions=(TestFunctionSpec(region=region),),
-            functional=FunctionalSpec(family=DIRECTED_NN, alpha=200.0),
+            functional=FunctionalSpec(family=KNN_UNDIRECTED, alpha=200.0),
             lambda_grid=(1.0,),
             replicates=4,
             seed=0,
@@ -544,9 +548,9 @@ class TestPipeline:
                                      stream=(1 << 36) + r).points
             gaps = nn_distances(points)
             data.append([np.sum(gaps ** a) for a in alphas])
-        summary = ex.estimate_moments(np.array(data))
+        _, _, variances, ses = ex.estimate_moments(np.array(data))
         expected = [(n ** (2.0 * a - 1.0) * var, n ** (2.0 * a - 1.0) * se)
-                    for a, var, se in zip(alphas, summary.var, summary.se_var)]
+                    for a, var, se in zip(alphas, variances, ses)]
         assert ex.binomial_scaled_variances(alphas, n=n, replicates=30,
                                             seed=3) == expected
 
@@ -610,6 +614,23 @@ class TestTargets:
             (rs,) = ex.run_experiment(plan)["per_lambda"][0]["regions"]
         assert rs["target_mean"] == 0.5
         assert rs["target_var"] == pytest.approx(85.0 / 108.0 + 0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, weight", [(100.0, 1.0), (50.0, 1e-7)],
+                             ids=["constant", "power_of_kappa"])
+    def test_targets_beyond_a_double_refuse_the_plan(self, alpha, weight):
+        # v_alpha overflows from alpha ~ 84.8; kappa^(1 - 2 alpha) of a small
+        # weight overflows long before
+        region = Region.interval(0.0, 1.0)
+        fields = dict(test_functions=(TestFunctionSpec(region=region),),
+                      lambda_grid=(50.0,), replicates=5, seed=1)
+        density = DensitySpec(region=region, weights=(weight,), normalized=False)
+        with pytest.raises(ValueError, match=f"functional.alpha={alpha:g}: the "
+                                             f"closed-form targets overflow"):
+            ex.ExperimentPlan(density=density, functional=FunctionalSpec(
+                family=DIRECTED_NN, alpha=alpha), **fields)
+        # the same exponent on the kNN family has no closed-form targets
+        ex.ExperimentPlan(density=density, functional=FunctionalSpec(
+            family=KNN_UNDIRECTED, alpha=alpha), **fields)
 
     def test_piecewise_test_function(self):
         # kappa = 1 on [0, 1] and 3 on [1, 2]; f = 2 on [0.2, 0.6] and -1 on

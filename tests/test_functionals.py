@@ -230,40 +230,65 @@ class TestScaledStatistics:
         assert vec[1] == pytest.approx(t_right, rel=1e-12)
 
 
+def replayed_nn_distance(density, lam, seed, i):
+    """The dilated distance from probe i's location to its nearest base
+    point, replayed from the probe's stream: the location, then the base
+    draw (redrawn while it holds fewer than 2 points)."""
+    rng = generator(seed, PROBE_STREAM_BASE + i)
+    x = sample_location(density, rng)
+    base = sample_poisson_rng(density, lam, rng)
+    while len(base) < 2:
+        base = sample_poisson_rng(density, lam, rng)
+    scale = lam ** (1.0 / density.region.dimension)
+    return scale * float(np.min(np.sqrt(np.sum((base - x) ** 2, axis=1))))
+
+
 class TestStabilizationProbe:
     def test_directed_radii_bounded_by_nn_distance(self):
-        # replay the probe's stream discipline to recover each probe point and
-        # base configuration, then check R >= dilated NN distance
-        region = Region.interval(0.0, 1.0)
-        density = DensitySpec.homogeneous(region)
-        lam = 100.0
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
-        count = 40
-        res = fn.stabilization_probe(density, lam, spec, probe_count=count,
-                                     resample_count=3, seed=60)
-        for i in range(count):
-            rng = generator(60, PROBE_STREAM_BASE + i)
-            x = sample_location(density, rng)
-            base = sample_poisson_rng(density, lam, rng)
-            nn = lam * np.min(np.abs(base[:, 0] - x[0]))
-            assert res.radii[i] >= nn - 1e-9
+        # the score at x is its nearest-neighbour distance, which a redraw
+        # beyond a smaller radius can change: R >= dilated NN distance
+        density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=100.0)
+        for i in range(40):
+            radius, censored = fn._probe_radius(density, spec, 3, 60, i)
+            assert not censored
+            assert radius >= replayed_nn_distance(density, 100.0, 60, i) - 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_directed_radius_within_one_bisection_step_of_nn_distance(self, d):
+        # no redraw beyond the nearest-neighbour distance D changes the
+        # score, so invariant(r) holds for every r >= D, and the bisection
+        # ends within its final width r_max 2^-18 above D; D < r_max, so no
+        # probe is censored
+        density = DensitySpec.homogeneous(
+            Region.from_bounds([((0.0,) * d, (1.0,) * d)]))
+        lam, seed = 200.0, 7
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=lam)
+        r_max = lam ** (1.0 / d) * math.sqrt(d) + 1.0
+        for i in range(60):
+            radius, censored = fn._probe_radius(density, spec, 3, seed, i)
+            nn = replayed_nn_distance(density, lam, seed, i)
+            assert not censored
+            assert radius <= nn * (1.0 + 1e-9) + r_max * 2.0 ** -18
 
     def test_tail_monotone_and_decaying(self):
         density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
-        res = fn.stabilization_probe(density, 150.0, spec, probe_count=150,
-                                     resample_count=3, seed=2)
-        assert np.all(np.diff(res.tail_probs) <= 1e-12)
-        assert res.decay_slope < 0.0
-        assert res.censored.sum() == 0
+        payload = fn.stabilization_probe(density, 150.0, spec, probe_count=150,
+                                         resample_count=3, seed=2)
+        tail_probs = [row["tail_prob"] for row in payload["tail"]]
+        assert np.all(np.diff(tail_probs) <= 1e-12)
+        assert payload["decay_slope"] < 0.0
+        assert payload["censored_count"] == 0
 
     def test_constant_functional_stabilizes_at_zero(self, monkeypatch):
         density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
         monkeypatch.setattr(fn, "_xi_at", lambda x, points, s, d: 1.0)
-        res = fn.stabilization_probe(density, 50.0, spec, probe_count=10,
-                                     resample_count=2, seed=3)
-        assert np.all(res.radii == 0.0)
+        payload = fn.stabilization_probe(density, 50.0, spec, probe_count=10,
+                                         resample_count=2, seed=3)
+        # P[R > 0] = 0 holds exactly when every radius is 0
+        assert payload["tail"][0] == {"t": 0.0, "tail_prob": 0.0}
 
     def test_quantile_equals_numpy(self):
         # the probe's grid end is np.quantile(radii, 0.999) to the last bit

@@ -41,23 +41,20 @@ class TestCoveringPacking:
     def test_hand_counts(self):
         r = unit_interval()
         cov4 = rg.covering(r, 4.0)
-        assert cov4.count == 5
-        assert cov4.centers.ravel().tolist() == [0, 1, 2, 3, 4]
-        cov1 = rg.covering(r, 1.0)
-        assert cov1.count == 2
-        assert cov1.centers.ravel().tolist() == [0, 1]
-        pk4 = rg.packing(r, 4.0)
-        assert pk4.count == 3
-        assert pk4.centers.ravel().tolist() == [1, 2, 3]
-        assert rg.packing(r, 1.0).count == 0
+        assert cov4.dtype == np.int64 and cov4.shape == (5, 1)
+        assert cov4.ravel().tolist() == [0, 1, 2, 3, 4]
+        assert rg.covering(r, 1.0).ravel().tolist() == [0, 1]
+        assert rg.packing(r, 4.0).ravel().tolist() == [1, 2, 3]
+        empty = rg.packing(r, 1.0)
+        assert empty.dtype == np.int64 and empty.shape == (0, 1)
 
     def test_straddling_cube_counts_in_packing(self):
         # cube [0.5, 1.5] spans both boxes of (0, 1.2) U (1.2, 3)
         r = rg.Region.from_bounds([((0,), (1.2,)), ((1.2,), (3,))])
-        assert 1 in rg.packing(r, 1.0).centers.ravel().tolist()
+        assert 1 in rg.packing(r, 1.0).ravel().tolist()
         # a gap, however small in appearance, breaks containment
         r_gap = rg.Region.from_bounds([((0,), (1.2,)), ((1.3,), (3,))])
-        assert 1 not in rg.packing(r_gap, 1.0).centers.ravel().tolist()
+        assert 1 not in rg.packing(r_gap, 1.0).ravel().tolist()
 
     def test_packing_subset_of_covering(self):
         rng = np.random.default_rng(11)
@@ -67,8 +64,8 @@ class TestCoveringPacking:
             hi = lo + rng.uniform(0.3, 2.0, size=d)
             region = rg.Region.from_bounds([(tuple(lo), tuple(hi))])
             lam = float(rng.choice([1.0, 10.0, 100.0]))
-            cov = {tuple(z) for z in rg.covering(region, lam).centers}
-            pk = {tuple(z) for z in rg.packing(region, lam).centers}
+            cov = {tuple(z) for z in rg.covering(region, lam)}
+            pk = {tuple(z) for z in rg.packing(region, lam)}
             assert pk <= cov
 
     @settings(max_examples=40, deadline=None)
@@ -83,8 +80,8 @@ class TestCoveringPacking:
         hi = [a + e for a, e in zip(lo, extent)]
         region = rg.Region.from_bounds([(tuple(lo), tuple(hi))])
         scaled_volume = lam * region.volume
-        assert rg.packing(region, lam).count <= scaled_volume + 1e-9
-        assert rg.covering(region, lam).count >= scaled_volume - 1e-9
+        assert len(rg.packing(region, lam)) <= scaled_volume + 1e-9
+        assert len(rg.covering(region, lam)) >= scaled_volume - 1e-9
 
     def test_covering_count_growth_bounded(self):
         # (n - lam |B|) / lam^((d-1)/d) stays within a ten-fold band over octaves
@@ -92,7 +89,7 @@ class TestCoveringPacking:
         ratios = []
         for j in range(6):
             lam = 20.0 * 2.0 ** j
-            n = rg.covering(region, lam).count
+            n = len(rg.covering(region, lam))
             excess = n - lam * region.volume
             ratios.append(excess / lam ** 0.5)
         assert max(ratios) / min(ratios) < 10.0

@@ -127,6 +127,23 @@ class TestLimits:
         with pytest.raises(ValueError, match="positive and finite"):
             getattr(sp, constant)(alpha)
 
+    @pytest.mark.parametrize("alpha, overflows", [
+        (85.0, {"v_alpha"}),
+        (120.0, {"v_alpha", "delta_alpha_sq"}),
+        (171.0, {"v_alpha", "exp_moment", "delta_alpha", "delta_alpha_sq"}),
+    ])
+    def test_overflow_names_the_exponent(self, alpha, overflows):
+        # Gamma(2 + 2 alpha) overflows a double from alpha ~ 84.8, the square
+        # of delta_alpha from ~ 113.7 and Gamma(1 + alpha) from ~ 170.6;
+        # math.gamma itself raises a bare range error
+        for constant in ("v_alpha", "exp_moment", "delta_alpha", "delta_alpha_sq"):
+            if constant in overflows:
+                with pytest.raises(ValueError, match=f"overflows a double at "
+                                                     f"weight exponent {alpha:g}"):
+                    getattr(sp, constant)(alpha)
+            else:
+                assert math.isfinite(getattr(sp, constant)(alpha))
+
     def test_v1_consistency_identity(self):
         # binds gamma, the hypergeometric series, and the arithmetic at once
         assert sp.v_alpha(1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)

@@ -23,10 +23,9 @@ import time
 import warnings
 
 from . import __version__
-from .experiments import ExperimentPlan, fit_rate, run_experiment
+from .experiments import ExperimentPlan, check_targets, fit_rate, run_experiment
 from .functionals import FunctionalSpec, TestFunctionSpec, stabilization_probe
-from .point_process import (DensitySpec, sample_binomial,
-                            sample_homogeneous_line, sample_poisson)
+from .point_process import DensitySpec, sample_binomial, sample_poisson
 from .regions import Box, Region
 from .special import delta_alpha, delta_alpha_sq, exp_moment, v_alpha
 
@@ -89,10 +88,16 @@ def _build(cls, where: str, **fields):
 
 
 def _seed(config: dict, flag: int | None) -> int:
-    """The run seed: the flag, else the config's "seed", else STABPP_SEED, else 0."""
+    """The run seed: the flag, else the config's "seed", else STABPP_SEED,
+    else 0.  Each one given must be an integer in [0, 2^64)."""
     seed = config.get("seed")
-    seed = None if seed is None else _parse_number(seed, "seed", int)
-    return _resolve(flag, seed, _env("SEED", int), 0)
+    sources = {"--seed": flag,
+               "seed": None if seed is None else _parse_number(seed, "seed", int),
+               _ENV_PREFIX + "SEED": _env("SEED", int)}
+    for where, value in sources.items():
+        if value is not None and not 0 <= value < 1 << 64:
+            raise ConfigError(f"{where} must be an integer in [0, 2^64), got {value}")
+    return _resolve(*sources.values(), 0)
 
 
 def _parse_box(obj: dict, where: str) -> Box:
@@ -366,7 +371,8 @@ def _cmd_sample(args) -> int:
             print("error: homogeneous sampling needs a single 1-d window",
                   file=sys.stderr)
             return EXIT_USAGE
-        cfg = sample_homogeneous_line(lam, density.region.boxes[0], seed, stream=0)
+        unit = DensitySpec(density.region, (1.0,), normalized=False)
+        cfg = sample_poisson(unit, lam, seed, stream=0)
     if args.json:
         print(json.dumps({"seed": seed, "lambda": lam, "count": len(cfg),
                           "points": cfg.points.tolist()}))
@@ -380,24 +386,6 @@ def _cmd_sample(args) -> int:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     print(f"wrote {len(cfg)} points to {path}")
     return EXIT_OK
-
-
-def _run_check(payload: dict, multiplier: float) -> list[str]:
-    failures = []
-    for rs in payload["per_lambda"][-1]["regions"]:
-        if rs["target_mean"] is None:
-            continue
-        if abs(rs["scaled_mean"] - rs["target_mean"]) > multiplier * rs["se_scaled_mean"]:
-            failures.append(
-                f"region {rs['index']}: scaled mean {rs['scaled_mean']:.6g} misses "
-                f"target {rs['target_mean']:.6g} by more than "
-                f"{multiplier:g} SE ({rs['se_scaled_mean']:.3g})")
-        if abs(rs["scaled_var"] - rs["target_var"]) > multiplier * rs["se_scaled_var"]:
-            failures.append(
-                f"region {rs['index']}: scaled variance {rs['scaled_var']:.6g} misses "
-                f"target {rs['target_var']:.6g} by more than "
-                f"{multiplier:g} SE ({rs['se_scaled_var']:.3g})")
-    return failures
 
 
 def _cmd_simulate(args) -> int:
@@ -428,7 +416,7 @@ def _cmd_simulate(args) -> int:
     else:
         print(f"wrote {path}")
     if args.check:
-        failures = _run_check(payload, se_multiplier)
+        failures = check_targets(payload, se_multiplier)
         if failures:
             for line in failures:
                 print(f"check failed: {line}", file=sys.stderr)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +50,7 @@ __all__ = [
     "product_form_discrepancy",
     "fit_rate",
     "run_experiment",
+    "check_targets",
     "binomial_scaled_variances",
 ]
 
@@ -123,13 +124,14 @@ class ExperimentPlan:
         _targets(self)  # limits beyond a double refuse the plan before any draw
 
 
-def _one_replicate(plan: ExperimentPlan, spec: FunctionalSpec, r: int,
+def _one_replicate(plan: ExperimentPlan, lam: float, r: int,
                    rng: np.random.Generator) -> np.ndarray:
-    draws = (sample_poisson(plan.density, spec.lam, plan.seed, stream=stream, rng=rng)
+    spec = plan.functional
+    draws = (sample_poisson(plan.density, lam, plan.seed, stream=stream, rng=rng)
              for stream in replicate_streams(r))
     config = first_with(spec.min_points, draws,
-                        f"replicate {r} at lambda={spec.lam} ({spec.family})")
-    return t_vector(config, plan.test_functions, spec)
+                        f"replicate {r} at lambda={lam} ({spec.family})")
+    return t_vector(config, plan.test_functions, spec, lam)
 
 
 def _replicate_chunk(args) -> np.ndarray:
@@ -139,9 +141,9 @@ def _replicate_chunk(args) -> np.ndarray:
     stream; it is built through ``point_process.generator``, the one name
     that constructs generators.
     """
-    plan, spec, indices = args
+    plan, lam, indices = args
     rng = point_process.generator(plan.seed, 0)
-    return np.array([_one_replicate(plan, spec, int(r), rng) for r in indices])
+    return np.array([_one_replicate(plan, lam, int(r), rng) for r in indices])
 
 
 def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
@@ -153,11 +155,10 @@ def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
     when one is given and one after another otherwise.  The matrix does not
     depend on the pool or the worker count.
     """
-    spec = plan.functional.with_lambda(lam)
     chunks = [c for c in np.array_split(np.arange(plan.replicates), 4 * workers)
               if len(c)]
     data = np.concatenate(list((map if pool is None else pool.map)(
-        _replicate_chunk, [(plan, spec, c) for c in chunks])))
+        _replicate_chunk, [(plan, lam, c) for c in chunks])))
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite statistic at lambda={lam}")
     return data
@@ -196,26 +197,22 @@ def ks_to_normal(values) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def product_form_discrepancy(standardized: np.ndarray,
-                             t_grid: Sequence[float] | None = None
+def product_form_discrepancy(standardized: np.ndarray, t_grid: Sequence[float]
                              ) -> tuple[float, tuple[float, ...]]:
     """Sup over a full grid of |joint empirical CDF - product normal CDF| of
     standardized samples (the product-form discrepancy), and its grid node.
 
-    The grid is the m-fold product of the per-axis thresholds (default 13
-    points on [-3, 3]); the node count m * |grid|^m must stay within
-    100 000.  The joint empirical CDF counts samples per node: each
-    sample is binned at the lowest grid node at or above it on every axis,
-    and cumulative sums along the axes give, at each node, the exact count
-    of samples at or below it.
+    The grid is the m-fold product of the per-axis thresholds ``t_grid``;
+    the node count m * |grid|^m must stay within 100 000.  The joint
+    empirical CDF counts samples per node: each sample is binned at the
+    lowest grid node at or above it on every axis, and cumulative sums along
+    the axes give, at each node, the exact count of samples at or below it.
     """
     std = np.asarray(standardized, dtype=float)
-    if std.ndim == 1:
-        std = std.reshape(-1, 1)
     if std.ndim != 2:
         raise ValueError("standardized samples must form an (n, m) array")
     n, m = std.shape
-    grid = np.asarray(DEFAULT_T_GRID if t_grid is None else t_grid, dtype=float)
+    grid = np.asarray(t_grid, dtype=float)
     g = len(grid)
     if g == 0:
         raise ValueError("threshold grid must be nonempty")
@@ -371,8 +368,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
     rate, censored, note = fit_rate(
         plan.lambda_grid, [e["joint_discrepancy"] for e in per_lambda], plan.replicates)
     return {
-        "functional": {key: getattr(plan.functional, key)
-                       for key in ("family", "k", "alpha")},
+        "functional": asdict(plan.functional),
         "replicates": plan.replicates,
         "seed": plan.seed,
         "lambda_grid": list(plan.lambda_grid),
@@ -382,6 +378,25 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
         "censored_lambdas": list(censored),
         "rate_note": f"rate fit skipped: {note}" if note else "",
     }
+
+
+def check_targets(payload: dict, multiplier: float) -> list[str]:
+    """The check of ``simulate --check``: one line per scaled mean or variance
+    of the last intensity that misses its target by more than ``multiplier``
+    standard errors.  Regions with no target are not checked."""
+    failures = []
+    for rs in payload["per_lambda"][-1]["regions"]:
+        if rs["target_mean"] is None:
+            continue
+        for key, name in (("mean", "mean"), ("var", "variance")):
+            value, target = rs[f"scaled_{key}"], rs[f"target_{key}"]
+            se = rs[f"se_scaled_{key}"]
+            if abs(value - target) > multiplier * se:
+                failures.append(
+                    f"region {rs['index']}: scaled {name} {value:.6g} misses "
+                    f"target {target:.6g} by more than {multiplier:g} SE "
+                    f"({se:.3g})")
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ radius tail.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +50,15 @@ KNN_UNDIRECTED = "knn_undirected"
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """Functional family, neighbour count, weight exponent, and intensity."""
+    """The score xi: functional family, neighbour count and weight exponent.
+
+    The intensity is not part of it; it is an argument wherever a
+    configuration is scored or drawn.
+    """
 
     family: str = DIRECTED_NN
     k: int = 1
     alpha: float = 1.0
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.family not in (DIRECTED_NN, KNN_UNDIRECTED):
@@ -66,11 +69,6 @@ class FunctionalSpec:
             raise ValueError("directed nearest-neighbour functional fixes k = 1")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError("alpha must be > 0 and finite")
-        if not self.lam > 0.0:
-            raise ValueError("lambda must be > 0")
-
-    def with_lambda(self, lam: float) -> "FunctionalSpec":
-        return replace(self, lam=float(lam))
 
     @property
     def min_points(self) -> int:
@@ -137,11 +135,12 @@ def _scores(dilated: np.ndarray, spec: FunctionalSpec,
 # ---------------------------------------------------------------------------
 # scaled region statistics
 
-def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> np.ndarray:
+def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec,
+             lam: float) -> np.ndarray:
     """Per test function f of the sequence ``fs``, the sum of dilated scores
     weighted by f.
 
-    The configuration is dilated by lambda^(1/d) and scored once for all
+    The configuration is dilated by lam^(1/d) and scored once for all
     test functions; f is evaluated at the original locations, so only points
     of f's region contribute.  When some region holds a point, fewer points
     than the neighbour search needs raise its ValueError.
@@ -154,7 +153,7 @@ def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec) -> np.ndarray
         union = union | m
     if not union.any():
         return out
-    scores = _scores(pts * spec.lam ** (1.0 / config.dimension), spec, union)
+    scores = _scores(pts * lam ** (1.0 / config.dimension), spec, union)
     for i, (f, mask) in enumerate(zip(fs, masks)):
         if mask.any():
             if f.kind == "indicator":
@@ -186,10 +185,10 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _xi_at(x: np.ndarray, points: np.ndarray, spec: FunctionalSpec,
-           dimension: int) -> float:
+           scale: float) -> float:
     """The score of x added to the points as their last row, all dilated by
-    lambda^(1/d)."""
-    dilated = np.vstack([points, x]) * spec.lam ** (1.0 / dimension)
+    ``scale`` (lambda^(1/d))."""
+    dilated = np.vstack([points, x]) * scale
     last = np.arange(len(dilated)) == len(points)
     return float(_scores(dilated, spec, last)[-1])
 
@@ -215,15 +214,14 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
-def _probe_radius(density: DensitySpec, spec: FunctionalSpec,
+def _probe_radius(density: DensitySpec, lam: float, spec: FunctionalSpec,
                   resample_count: int, seed: int, i: int) -> tuple[float, bool]:
     """Probe i's dilated stabilization radius, and whether it is censored.
 
     Probe i draws, from stream ``PROBE_STREAM_BASE + i``, its location x,
     then its base configuration, then every redraw of the radius search.
     """
-    d, lam = density.region.dimension, spec.lam
-    scale = lam ** (1.0 / d)
+    scale = lam ** (1.0 / density.region.dimension)
     lo, hi = density.region.bounding_box()
     r_max = scale * float(np.sqrt(np.sum((hi - lo) ** 2))) + 1.0
     rng = generator(seed, PROBE_STREAM_BASE + i)
@@ -231,7 +229,7 @@ def _probe_radius(density: DensitySpec, spec: FunctionalSpec,
     draws = (sample_poisson_rng(density, lam, rng) for _ in itertools.count())
     base = first_with(spec.min_points, draws,
                       f"probe {i} at probe.lambda={lam} with functional.k={spec.k}")
-    xi0 = _xi_at(x, base, spec, d)
+    xi0 = _xi_at(x, base, spec, scale)
     diff = base - x
     base_d2 = np.einsum("ij,ij->i", diff, diff)
 
@@ -244,7 +242,7 @@ def _probe_radius(density: DensitySpec, spec: FunctionalSpec,
             mixed = np.vstack([base[ball], fresh[outside]])
             if len(mixed) < spec.min_points:
                 return False
-            xi1 = _xi_at(x, mixed, spec, d)
+            xi1 = _xi_at(x, mixed, spec, scale)
             if abs(xi1 - xi0) > _PROBE_REL_TOL * max(1.0, abs(xi0)):
                 return False
         return True
@@ -289,9 +287,9 @@ def stabilization_probe(density: DensitySpec, lam: float, spec: FunctionalSpec,
         raise ValueError("resample_count must be >= 1")
     if not lam >= 1.0:
         raise ValueError("probe requires lambda >= 1")
-    spec = spec.with_lambda(lam)
-    radii, censored = np.array([_probe_radius(density, spec, resample_count, seed, i)
-                                for i in range(probe_count)]).T
+    radii, censored = np.array([
+        _probe_radius(density, lam, spec, resample_count, seed, i)
+        for i in range(probe_count)]).T
 
     t_grid = np.linspace(0.0, _quantile(radii, 0.999), 41)
     tail_probs = np.array([(radii > t).mean() for t in t_grid])

@@ -1,7 +1,7 @@
-"""Reproducible sampling of Poisson, binomial, and homogeneous line processes.
+"""Reproducible sampling of Poisson and binomial point processes.
 
 All samplers are pure functions of (seed, stream): the random stream is a
-counter-based Philox generator keyed by the 64-bit seed and the stream id, so
+counter-based Philox generator keyed by the seed and the stream id, so
 distinct streams can be drawn concurrently with no coordination and replaying
 a (seed, stream) pair reproduces the configuration bit for bit.  The stream
 map below is the one place that assigns stream ids.
@@ -39,19 +39,14 @@ from .regions import Box, Region
 __all__ = [
     "DensitySpec",
     "PointConfiguration",
-    "RETRY_STREAM_BASE",
     "BINOMIAL_STREAM_BASE",
     "PROBE_STREAM_BASE",
     "replicate_streams",
     "first_with",
     "generator",
-    "rekey",
     "sample_poisson",
     "sample_binomial",
-    "sample_homogeneous_line",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 # The stream map.  Each use owns a namespace far above any replicate count:
 #   r                        replicate r, at every intensity of a plan (common
@@ -83,11 +78,20 @@ def first_with(min_points: int, draws, what: str):
                        f"after {MAX_DRAWS - 1} retries")
 
 
-def generator(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator addressed by (seed, stream)."""
+def _key(seed: int, stream: int) -> tuple[int, int]:
+    """The Philox key of (seed, stream), taken as it is: a seed outside
+    [0, 2^64) would alias another, so it is refused, as is a negative stream."""
+    seed, stream = int(seed), int(stream)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed}")
     if stream < 0:
         raise ValueError("stream id must be nonnegative")
-    key = np.array([int(seed) & _MASK64, int(stream) & _MASK64], dtype=np.uint64)
+    return seed, stream
+
+
+def generator(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based generator addressed by (seed, stream)."""
+    key = np.array(_key(seed, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -101,12 +105,9 @@ def rekey(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generat
     ``generator(seed, stream)``: counter, key, buffer and the cached 32-bit
     half-word are all set as a new generator sets them.
     """
-    if stream < 0:
-        raise ValueError("stream id must be nonnegative")
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _FRESH,
-                  "key": (int(seed) & _MASK64, int(stream) & _MASK64)},
+        "state": {"counter": _FRESH, "key": _key(seed, stream)},
         "buffer": _FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
 
@@ -232,14 +233,6 @@ def sample_binomial(region: Region, n: int, seed: int, stream: int = 0,
     parts = [_uniform_in_box(rng, box, int(c))
              for box, c in zip(region.boxes, counts)]
     return PointConfiguration(dimension=d, points=np.concatenate(parts, axis=0))
-
-
-def sample_homogeneous_line(intensity: float, window: Box,
-                            seed: int, stream: int = 0) -> PointConfiguration:
-    """Homogeneous Poisson process of the given intensity on a 1-d window."""
-    density = DensitySpec(region=Region(dimension=1, boxes=(window,)),
-                          weights=(intensity,), normalized=False)
-    return sample_poisson(density, 1.0, seed, stream)
 
 
 def sample_location(density: DensitySpec, rng: np.random.Generator) -> np.ndarray:

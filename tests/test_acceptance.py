@@ -19,8 +19,8 @@ from stabpp import neighbors as nb
 from stabpp import regions as rg
 from stabpp import special as sp
 from stabpp.functionals import DIRECTED_NN, FunctionalSpec, stabilization_probe
-from stabpp.point_process import (DensitySpec, sample_homogeneous_line)
-from stabpp.regions import Box, Region
+from stabpp.point_process import DensitySpec, sample_poisson
+from stabpp.regions import Region
 
 
 def _report(criterion: int, ok: bool, detail: str):
@@ -153,11 +153,10 @@ def test_criterion_6_exponential_stabilization():
 
 def test_criterion_7_exponential_gap_moments():
     """Interior nearest-neighbour gaps of a unit line process are Exp(2)."""
-    window = Box((0.0,), (1000.0,))
+    line = DensitySpec(Region.interval(0.0, 1000.0), (1.0,), normalized=False)
     gaps = []
     for s in range(50):
-        x = np.sort(sample_homogeneous_line(1.0, window, seed=42, stream=s)
-                    .points[:, 0])
+        x = np.sort(sample_poisson(line, 1.0, seed=42, stream=s).points[:, 0])
         d = np.minimum(np.r_[np.inf, np.diff(x)], np.r_[np.diff(x), np.inf])
         border = np.minimum(x, 1000.0 - x)
         gaps.append(d[border > d])

@@ -15,6 +15,7 @@ import pytest
 import stabpp
 from stabpp import cli
 from stabpp import experiments as ex
+from stabpp import functionals as fn
 from stabpp.special import delta_alpha_sq, v_alpha
 
 
@@ -227,6 +228,37 @@ class TestSampleCommand:
                          "--n", "17", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 17
+
+    @pytest.mark.parametrize("density", [
+        {"boxes": [{"lower": [0.0, 0.0], "upper": [1.0, 1.0]}], "homogeneous": True},
+        {"boxes": [{"lower": [0.0], "upper": [1.0]}, {"lower": [2.0], "upper": [3.0]}],
+         "weights": [0.5, 0.5]},
+    ], ids=["two_d", "two_boxes"])
+    def test_homogeneous_needs_one_line_window(self, tmp_path, capsys, density):
+        box = density["boxes"][0]
+        path = write_config(tmp_path, base_config(
+            dimension=len(box["lower"]), density=density, regions=[[box]]))
+        assert cli.main(["sample", "--config", path, "--process", "homogeneous",
+                         "--json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: homogeneous sampling needs a single 1-d window\n")
+
+    def test_homogeneous_is_poisson_at_unit_weight(self, tmp_path, capsys):
+        # the unit-rate line ignores the plan's weights: on its window it is
+        # the Poisson draw of weight 1 at the same lambda and seed
+        window = [{"lower": [0.5], "upper": [2.25]}]
+        outputs = []
+        for process, density in (
+                ("homogeneous", {"boxes": window, "homogeneous": True}),
+                ("poisson", {"boxes": window, "weights": [1.0],
+                             "normalized": False})):
+            path = write_config(tmp_path, base_config(density=density,
+                                                      regions=[window]))
+            assert cli.main(["sample", "--config", path, "--process", process,
+                             "--lambda", "300", "--seed", "3", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["count"] > 0
 
 
 class TestStabProbeCommand:
@@ -446,6 +478,36 @@ class TestBadValues:
                 "config error: functional.alpha=100: the closed-form targets "
                 "overflow a double\n")
             assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sample", "stab-probe"])
+    @pytest.mark.parametrize("source, value", [
+        ("--seed", -1), ("--seed", 1 << 64), ("seed", -1), ("seed", 1 << 64),
+        ("STABPP_SEED", -1), ("STABPP_SEED", 1 << 64),
+    ])
+    def test_seed_outside_64_bits_exits_2_naming_its_source(
+            self, tmp_path, capsys, monkeypatch, command, source, value):
+        # a masked seed would replay another: -1 the seed 2^64 - 1, 2^64 seed 0
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a configuration was drawn")
+
+        for owner, name in ((ex, "sample_poisson"), (cli, "sample_poisson"),
+                            (fn, "sample_poisson_rng")):
+            monkeypatch.setattr(owner, name, no_draw)
+        cfg = base_config(replicates=4, probe={"count": 5, "lambda": 60.0})
+        argv = [command, "--out", str(tmp_path / "o")]
+        if source == "--seed":
+            argv += ["--seed", str(value)]
+        elif source == "seed":
+            cfg["seed"] = value
+        else:
+            del cfg["seed"]
+            monkeypatch.setenv(source, str(value))
+        argv += ["--config", write_config(tmp_path, cfg)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {source} must be an integer in [0, 2^64), "
+            f"got {value}\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, env, named", [
         (["sample", "--lambda", "-5"], None, "--lambda"),

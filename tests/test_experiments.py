@@ -169,7 +169,7 @@ class TestProductForm:
     def test_independent_normals(self):
         rng = np.random.default_rng(11)
         std = rng.standard_normal((100_000, 2))
-        sup, _ = ex.product_form_discrepancy(std)
+        sup, _ = ex.product_form_discrepancy(std, ex.DEFAULT_T_GRID)
         assert sup <= 0.01
 
     def test_comonotone_pair_at_origin(self):
@@ -187,14 +187,14 @@ class TestProductForm:
         rng = np.random.default_rng(17)
         for _ in range(10):
             z = rng.standard_normal(300)
-            sup, _ = ex.product_form_discrepancy(z.reshape(-1, 1))
+            sup, _ = ex.product_form_discrepancy(z.reshape(-1, 1), ex.DEFAULT_T_GRID)
             assert sup <= ex.ks_to_normal(z) + 1e-15
 
     def test_budget_guard(self):
         std = np.zeros((10, 4))
         with pytest.raises(ValueError, match="grid of 13\\^4 nodes exceeds the "
                                              "budget 100000; use a coarser grid"):
-            ex.product_form_discrepancy(std)
+            ex.product_form_discrepancy(std, ex.DEFAULT_T_GRID)
         # a coarse grid brings the node count back under budget
         sup, _ = ex.product_form_discrepancy(std, t_grid=[-1.0, 0.0, 1.0])
         assert 0.0 <= sup <= 1.0
@@ -206,7 +206,7 @@ class TestProductForm:
         ind = [(std[:, i][:, None] <= grid[None, :]).astype(float) for i in range(2)]
         phi = scipy_ndtr(grid)
         diff = np.abs(ind[0].T @ ind[1] / len(std) - np.multiply.outer(phi, phi))
-        sup, argmax_node = ex.product_form_discrepancy(std)
+        sup, argmax_node = ex.product_form_discrepancy(std, ex.DEFAULT_T_GRID)
         assert sup == float(diff.max())
         i, j = np.unravel_index(int(np.argmax(diff)), diff.shape)
         assert argmax_node == (float(grid[i]), float(grid[j]))
@@ -375,7 +375,7 @@ class TestRunReplicates:
             test_functions=tuple(TestFunctionSpec(region=r) for r in halves),
             functional=FunctionalSpec(family=KNN_UNDIRECTED, k=3, alpha=1.5),
             lambda_grid=(6.0,), replicates=40, seed=2)
-        spec = plan.functional.with_lambda(6.0)
+        spec = plan.functional
         got = ex.run_replicates(plan, 6.0)
         retries = 0
         for r, row in enumerate(got):
@@ -384,7 +384,7 @@ class TestRunReplicates:
                 if len(config) >= spec.min_points:
                     break
                 retries += 1
-            assert np.array_equal(row, t_vector(config, plan.test_functions, spec))
+            assert np.array_equal(row, t_vector(config, plan.test_functions, spec, 6.0))
         assert retries >= 3
 
     def test_short_draw_outside_the_regions_is_redrawn(self):
@@ -397,7 +397,7 @@ class TestRunReplicates:
             test_functions=(TestFunctionSpec(region=region),),
             functional=FunctionalSpec(family=DIRECTED_NN, alpha=1.0),
             lambda_grid=(3.0,), replicates=30, seed=0)
-        spec = plan.functional.with_lambda(3.0)
+        spec = plan.functional
         got = ex.run_replicates(plan, 3.0)
         redrawn = 0
         for r, row in enumerate(got):
@@ -407,7 +407,7 @@ class TestRunReplicates:
             if len(first) >= spec.min_points or region.contains(first.points).any():
                 continue
             want = next(c for c in draws if len(c) >= spec.min_points)
-            assert np.array_equal(row, t_vector(want, plan.test_functions, spec))
+            assert np.array_equal(row, t_vector(want, plan.test_functions, spec, 3.0))
             redrawn += row.any()
         assert redrawn >= 2
 

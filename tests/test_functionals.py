@@ -23,8 +23,7 @@ THREE = line_config(0, 1, 3)
 def unscaled(config, region, spec):
     """The region's statistic at lambda = 1: the plain sum of the scores of
     its points."""
-    return fn.t_vector(config, [fn.TestFunctionSpec(region=region)],
-                       spec.with_lambda(1.0))[0]
+    return fn.t_vector(config, [fn.TestFunctionSpec(region=region)], spec, 1.0)[0]
 
 
 def directed_sum(points, region, alpha):
@@ -53,7 +52,7 @@ class TestElementaryScores:
     def test_nn_distance_needs_other_points(self):
         # the probe's score of x among no other point
         with pytest.raises(ValueError):
-            fn._xi_at(np.array([0.0]), np.empty((0, 1)), DIRECTED, 1)
+            fn._xi_at(np.array([0.0]), np.empty((0, 1)), DIRECTED, 1.0)
 
     def test_xi_knn_three_point_graph(self):
         spec = fn.FunctionalSpec(family=fn.KNN_UNDIRECTED, k=1, alpha=1.0)
@@ -89,14 +88,14 @@ class TestElementaryScores:
             n = int(rng.integers(4, 120))
             k = 1 if family == fn.DIRECTED_NN else int(rng.integers(1, 4))
             spec = fn.FunctionalSpec(family=family, k=k,
-                                     alpha=float(rng.uniform(0.3, 3.0)),
-                                     lam=float(rng.uniform(1.0, 500.0)))
+                                     alpha=float(rng.uniform(0.3, 3.0)))
+            lam = float(rng.uniform(1.0, 500.0))
             pts = rng.uniform(size=(n, d))
             x = rng.uniform(size=d)
-            dilated = np.vstack([pts, x]) * spec.lam ** (1.0 / d)
+            dilated = np.vstack([pts, x]) * lam ** (1.0 / d)
             every = np.ones(n + 1, dtype=bool)
             want = fn._scores(dilated, spec, every)[-1]
-            assert fn._xi_at(x, pts, spec, d) == want
+            assert fn._xi_at(x, pts, spec, lam ** (1.0 / d)) == want
 
 
 class TestHalfSumIdentity:
@@ -129,19 +128,19 @@ class TestHalfSumIdentity:
 class TestScaledStatistics:
     def test_t_statistic_unscaled(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
-        assert fn.t_vector(THREE, [f], spec)[0] == pytest.approx(4.0)
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        assert fn.t_vector(THREE, [f], spec, 1.0)[0] == pytest.approx(4.0)
 
     def test_t_statistic_homogeneity_hand_value(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=4.0)
-        assert fn.t_vector(THREE, [f], spec)[0] == pytest.approx(16.0)
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        assert fn.t_vector(THREE, [f], spec, 4.0)[0] == pytest.approx(16.0)
 
     def test_zero_test_function(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0),
                                 kind="piecewise", values=(0.0,))
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=4.0)
-        assert fn.t_vector(THREE, [f], spec)[0] == 0.0
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        assert fn.t_vector(THREE, [f], spec, 4.0)[0] == 0.0
 
     def test_homogeneity_identity_1d(self):
         # dilating the configuration multiplies the statistic by lambda^alpha
@@ -152,8 +151,8 @@ class TestScaledStatistics:
             for lam in (3.0, 17.5, 400.0):
                 pts = rng.uniform(size=(60, 1))
                 config = PointConfiguration(dimension=1, points=pts)
-                spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=alpha, lam=lam)
-                t = fn.t_vector(config, [f], spec)[0]
+                spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=alpha)
+                t = fn.t_vector(config, [f], spec, lam)[0]
                 assert t == pytest.approx(
                     lam ** alpha * directed_sum(pts, gamma, alpha), rel=1e-12)
 
@@ -165,11 +164,11 @@ class TestScaledStatistics:
         gamma_shift = Region.from_bounds([(tuple(np.array([0.1, 0.1]) + shift),
                                            tuple(np.array([0.9, 0.9]) + shift))])
         for family, k in ((fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 2)):
-            spec = fn.FunctionalSpec(family=family, k=k, alpha=1.3, lam=25.0)
+            spec = fn.FunctionalSpec(family=family, k=k, alpha=1.3)
             t0 = fn.t_vector(PointConfiguration(dimension=2, points=pts),
-                             [fn.TestFunctionSpec(region=gamma)], spec)[0]
+                             [fn.TestFunctionSpec(region=gamma)], spec, 25.0)[0]
             t1 = fn.t_vector(PointConfiguration(dimension=2, points=pts + shift),
-                             [fn.TestFunctionSpec(region=gamma_shift)], spec)[0]
+                             [fn.TestFunctionSpec(region=gamma_shift)], spec, 25.0)[0]
             assert t1 == pytest.approx(t0, rel=1e-12)
 
     def test_locality(self):
@@ -186,8 +185,8 @@ class TestScaledStatistics:
 
     def test_t_vector_single_region(self):
         f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0))
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
-        vec = fn.t_vector(THREE, [f], spec)
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        vec = fn.t_vector(THREE, [f], spec, 1.0)
         assert vec.tolist() == [directed_sum(THREE.points, f.region, 1.0)]
 
     @pytest.mark.parametrize("family,k", [(fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 3)])
@@ -199,17 +198,17 @@ class TestScaledStatistics:
               fn.TestFunctionSpec(region=Region.from_bounds([((0.5, 0.0), (1.0, 1.0))]),
                                   kind="piecewise", values=(-2.0,)),
               fn.TestFunctionSpec(region=Region.from_bounds([((5.0, 5.0), (6.0, 6.0))]))]
-        spec = fn.FunctionalSpec(family=family, k=k, alpha=1.5, lam=300.0)
-        expected = [fn.t_vector(config, [f], spec)[0] for f in fs]
-        assert fn.t_vector(config, fs, spec).tolist() == expected
+        spec = fn.FunctionalSpec(family=family, k=k, alpha=1.5)
+        expected = [fn.t_vector(config, [f], spec, 300.0)[0] for f in fs]
+        assert fn.t_vector(config, fs, spec, 300.0).tolist() == expected
         assert expected[0] > 0.0 and expected[1] < 0.0 and expected[2] == 0.0
 
     def test_t_vector_empty_config_is_zero(self):
         empty = PointConfiguration(dimension=1, points=np.empty((0, 1)))
         fs = [fn.TestFunctionSpec(region=Region.interval(0.0, 1.0)),
               fn.TestFunctionSpec(region=Region.interval(2.0, 3.0))]
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=1.0)
-        assert fn.t_vector(empty, fs, spec).tolist() == [0.0, 0.0]
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        assert fn.t_vector(empty, fs, spec, 1.0).tolist() == [0.0, 0.0]
 
     def test_far_separated_regions_decompose(self):
         # gap far exceeds every nearest-neighbour distance, so the joint
@@ -220,12 +219,12 @@ class TestScaledStatistics:
         both = PointConfiguration(dimension=1, points=np.vstack([left, right]))
         fs = [fn.TestFunctionSpec(region=Region.interval(0.0, 1.0)),
               fn.TestFunctionSpec(region=Region.interval(100.0, 101.0))]
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=9.0)
-        vec = fn.t_vector(both, fs, spec)
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        vec = fn.t_vector(both, fs, spec, 9.0)
         t_left = fn.t_vector(PointConfiguration(dimension=1, points=left),
-                             fs[:1], spec)[0]
+                             fs[:1], spec, 9.0)[0]
         t_right = fn.t_vector(PointConfiguration(dimension=1, points=right),
-                              fs[1:], spec)[0]
+                              fs[1:], spec, 9.0)[0]
         assert vec[0] == pytest.approx(t_left, rel=1e-12)
         assert vec[1] == pytest.approx(t_right, rel=1e-12)
 
@@ -248,9 +247,9 @@ class TestStabilizationProbe:
         # the score at x is its nearest-neighbour distance, which a redraw
         # beyond a smaller radius can change: R >= dilated NN distance
         density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=100.0)
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
         for i in range(40):
-            radius, censored = fn._probe_radius(density, spec, 3, 60, i)
+            radius, censored = fn._probe_radius(density, 100.0, spec, 3, 60, i)
             assert not censored
             assert radius >= replayed_nn_distance(density, 100.0, 60, i) - 1e-9
 
@@ -263,10 +262,10 @@ class TestStabilizationProbe:
         density = DensitySpec.homogeneous(
             Region.from_bounds([((0.0,) * d, (1.0,) * d)]))
         lam, seed = 200.0, 7
-        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0, lam=lam)
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
         r_max = lam ** (1.0 / d) * math.sqrt(d) + 1.0
         for i in range(60):
-            radius, censored = fn._probe_radius(density, spec, 3, seed, i)
+            radius, censored = fn._probe_radius(density, lam, spec, 3, seed, i)
             nn = replayed_nn_distance(density, lam, seed, i)
             assert not censored
             assert radius <= nn * (1.0 + 1e-9) + r_max * 2.0 ** -18
@@ -284,7 +283,7 @@ class TestStabilizationProbe:
     def test_constant_functional_stabilizes_at_zero(self, monkeypatch):
         density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
-        monkeypatch.setattr(fn, "_xi_at", lambda x, points, s, d: 1.0)
+        monkeypatch.setattr(fn, "_xi_at", lambda x, points, s, scale: 1.0)
         payload = fn.stabilization_probe(density, 50.0, spec, probe_count=10,
                                          resample_count=2, seed=3)
         # P[R > 0] = 0 holds exactly when every radius is 0
@@ -330,6 +329,6 @@ class TestSpecValidation:
 
     def test_insufficient_points_for_t(self):
         f = fn.TestFunctionSpec(region=Region.interval(0.0, 1.0))
-        spec = fn.FunctionalSpec(family=fn.KNN_UNDIRECTED, k=3, alpha=1.0, lam=1.0)
+        spec = fn.FunctionalSpec(family=fn.KNN_UNDIRECTED, k=3, alpha=1.0)
         with pytest.raises(ValueError):
-            fn.t_vector(line_config(0.5, 0.6), [f], spec)
+            fn.t_vector(line_config(0.5, 0.6), [f], spec, 1.0)

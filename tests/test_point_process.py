@@ -152,6 +152,14 @@ class TestRekey:
         with pytest.raises(ValueError):
             pp.rekey(pp.generator(0, 0), 0, -1)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masking would alias -1 to 2^64 - 1 and 2^64 to 0
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            pp.generator(seed, 0)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            pp.rekey(pp.generator(0, 0), seed, 0)
+
 
 class TestPoissonLaw:
     def test_zero_weight_box_stays_empty(self):
@@ -228,14 +236,22 @@ class TestBinomial:
         assert abs(frac - 0.5) <= 0.005
 
 
+def unit_line(intensity, window, seed, stream):
+    """A homogeneous Poisson process of the given intensity on a 1-d window:
+    a unit-weight density on the window, drawn at lambda = intensity."""
+    unit = pp.DensitySpec(Region(dimension=1, boxes=(window,)), (1.0,),
+                          normalized=False)
+    return pp.sample_poisson(unit, intensity, seed, stream)
+
+
 class TestHomogeneousLine:
     def test_expected_counts(self):
         window = Box((0.0,), (1.0,))
-        counts = [len(pp.sample_homogeneous_line(1.0, window, seed=3, stream=s))
+        counts = [len(unit_line(1.0, window, seed=3, stream=s))
                   for s in range(2000)]
         assert abs(np.mean(counts) - 1.0) < 0.1
         window10 = Box((0.0,), (10.0,))
-        counts = [len(pp.sample_homogeneous_line(2.0, window10, seed=3, stream=s))
+        counts = [len(unit_line(2.0, window10, seed=3, stream=s))
                   for s in range(2000)]
         assert abs(np.mean(counts) - 20.0) < 0.5
 
@@ -244,8 +260,7 @@ class TestHomogeneousLine:
         window = Box((0.0,), (1000.0,))
         gaps = []
         for s in range(5):
-            x = np.sort(pp.sample_homogeneous_line(1.0, window, seed=12, stream=s)
-                        .points[:, 0])
+            x = np.sort(unit_line(1.0, window, seed=12, stream=s).points[:, 0])
             d = np.minimum(np.r_[np.inf, np.diff(x)], np.r_[np.diff(x), np.inf])
             border = np.minimum(x - 0.0, 1000.0 - x)
             gaps.append(d[border > d])
@@ -253,8 +268,8 @@ class TestHomogeneousLine:
         assert abs(mean - 0.5) / 0.5 < 0.02
 
     def test_equals_inline_formula(self):
-        # the formula this sampler used before it became a one-box
-        # sample_poisson: a Poisson count, then Generator.uniform
+        # a one-box sample_poisson of unit weight is the inline formula of a
+        # line process: a Poisson count, then Generator.uniform
         windows = [Box((0.0,), (1.0,)), Box((-3.5,), (2.25,)),
                    Box((1e-3,), (2e-3,)), Box((7.0,), (7.5,))]
         for window in windows:
@@ -264,10 +279,5 @@ class TestHomogeneousLine:
                     rng = pp.generator(9, s)
                     n = int(rng.poisson(intensity * (hi - lo)))
                     expected = rng.uniform(lo, hi, size=(n, 1))
-                    got = pp.sample_homogeneous_line(intensity, window, seed=9,
-                                                     stream=s)
+                    got = unit_line(intensity, window, seed=9, stream=s)
                     assert np.array_equal(got.points, expected)
-
-    def test_requires_1d(self):
-        with pytest.raises(ValueError):
-            pp.sample_homogeneous_line(1.0, Box((0, 0), (1, 1)), seed=0)

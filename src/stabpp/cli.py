@@ -93,11 +93,11 @@ def _seed(config: dict, flag: int | None) -> int:
     seed = config.get("seed")
     sources = {"--seed": flag,
                "seed": None if seed is None else _parse_number(seed, "seed", int),
-               _ENV_PREFIX + "SEED": _env("SEED", int)}
+               _ENV_PREFIX + "SEED": _setting(None, "SEED", int, None)}
     for where, value in sources.items():
         if value is not None and not 0 <= value < 1 << 64:
             raise ConfigError(f"{where} must be an integer in [0, 2^64), got {value}")
-    return _resolve(*sources.values(), 0)
+    return next((v for v in sources.values() if v is not None), 0)
 
 
 def _parse_box(obj: dict, where: str) -> Box:
@@ -128,9 +128,12 @@ def _parse_density(obj: dict, dimension: int) -> DensitySpec:
         return _build(DensitySpec.homogeneous, "density", region=region)
     if "weights" not in obj:
         raise ConfigError('missing required key "weights" in density')
-    return _build(DensitySpec, "density.weights", region=region,
-                  weights=_parse_numbers(obj["weights"], "density.weights"),
-                  normalized=flags["normalized"])
+    density = _build(DensitySpec, "density.weights", region=region,
+                     weights=_parse_numbers(obj["weights"], "density.weights"))
+    if flags["normalized"] and abs(density.total_mass - 1.0) > 1e-9:
+        raise ConfigError(f"density.weights: probability density must "
+                          f"integrate to 1, got {density.total_mass}")
+    return density
 
 
 def _parse_functional(obj: dict) -> FunctionalSpec:
@@ -246,7 +249,10 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _env(name: str, cast, default=None):
+def _setting(flag, name: str, cast, default):
+    """A shared setting: the flag, else STABPP_<name> as ``cast``, else ``default``."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(_ENV_PREFIX + name)
     if raw is None:
         return default
@@ -254,13 +260,6 @@ def _env(name: str, cast, default=None):
         return cast(raw)
     except ValueError as err:
         raise ConfigError(f"bad {_ENV_PREFIX}{name}={raw!r}: {err}") from err
-
-
-def _resolve(flag_value, config_value, env_value, default):
-    for v in (flag_value, config_value, env_value):
-        if v is not None:
-            return v
-    return default
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +364,15 @@ def _cmd_sample(args) -> int:
         cfg = sample_poisson(density, lam, seed, stream=0)
     elif args.process == "binomial":
         n = args.n if args.n is not None else int(round(lam))
-        cfg = sample_binomial(density.region, n, seed, stream=0)
+        cfg = sample_binomial(density, n, seed, stream=0)
     else:
-        if dimension != 1 or len(density.region.boxes) != 1:
-            print("error: homogeneous sampling needs a single 1-d window",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        unit = DensitySpec(density.region, (1.0,), normalized=False)
+        unit = DensitySpec(density.region, (1.0,) * len(density.region.boxes))
         cfg = sample_poisson(unit, lam, seed, stream=0)
     if args.json:
         print(json.dumps({"seed": seed, "lambda": lam, "count": len(cfg),
                           "points": cfg.points.tolist()}))
         return EXIT_OK
-    out_dir = _resolve(args.out, None, _env("OUT", str), ".")
+    out_dir = _setting(args.out, "OUT", str, ".")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "points.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -393,7 +388,7 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     plan = parse_plan(config, seed_override=args.seed)
     _, se_multiplier = _parse_probe_and_check(config)
-    workers = _resolve(args.workers, None, _env("WORKERS", int), 1)
+    workers = _setting(args.workers, "WORKERS", int, 1)
     # a pool starts all its processes at once, so the count stays within the CPUs
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
@@ -401,7 +396,7 @@ def _cmd_simulate(args) -> int:
         print(f"error: {source} must be from 1 to the CPU count {cpus}, "
               f"got {workers}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = _resolve(args.out, None, _env("OUT", str), ".")
+    out_dir = _setting(args.out, "OUT", str, ".")
 
     def progress(lam, entry):
         print(f"lambda={lam:g}: joint discrepancy "
@@ -433,7 +428,7 @@ def _cmd_stab_probe(args) -> int:
     fields = _parse_plan_fields(config)
     probe, _ = _parse_probe_and_check(config)
     seed = _seed(config, args.seed)
-    out_dir = _resolve(args.out, None, _env("OUT", str), ".")
+    out_dir = _setting(args.out, "OUT", str, ".")
     payload = stabilization_probe(
         fields["density"], probe["lambda"], fields["functional"],
         probe_count=probe["count"], resample_count=probe["resamples"],

@@ -105,6 +105,7 @@ class ExperimentPlan:
                     raise ValueError(f"regions {i} and {j} overlap")
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
+        point_process._key(self.seed, 0)  # the seed rule, before any pool starts
         grid = self.lambda_grid
         if not all(0.0 < v < np.inf for v in grid):
             raise ValueError("lambda_grid values must be positive and finite")
@@ -383,11 +384,13 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1,
 def check_targets(payload: dict, multiplier: float) -> list[str]:
     """The check of ``simulate --check``: one line per scaled mean or variance
     of the last intensity that misses its target by more than ``multiplier``
-    standard errors.  Regions with no target are not checked."""
+    standard errors.  Regions with no target are skipped; with none, it fails."""
+    regions = [rs for rs in payload["per_lambda"][-1]["regions"]
+               if rs["target_mean"] is not None]
+    if not regions:
+        return ["no region has a closed-form target"]
     failures = []
-    for rs in payload["per_lambda"][-1]["regions"]:
-        if rs["target_mean"] is None:
-            continue
+    for rs in regions:
         for key, name in (("mean", "mean"), ("var", "variance")):
             value, target = rs[f"scaled_{key}"], rs[f"target_{key}"]
             se = rs[f"se_scaled_{key}"]
@@ -415,11 +418,11 @@ def binomial_scaled_variances(alphas, n: int, replicates: int,
     if n < 2:
         raise ValueError(f"n={n}: a nearest neighbour needs at least 2 points")
     alphas = [float(a) for a in alphas]
-    region = Region.interval(0.0, 1.0)
+    unit = DensitySpec(Region.interval(0.0, 1.0), (1.0,))
     rng = point_process.generator(seed, 0)  # re-keyed for every draw
     data = np.empty((replicates, len(alphas)))
     for r in range(replicates):
-        config = sample_binomial(region, n, seed,
+        config = sample_binomial(unit, n, seed,
                                  stream=BINOMIAL_STREAM_BASE + r, rng=rng)
         gaps = nn_distances(config.points)
         data[r] = [np.sum(gaps ** a) for a in alphas]

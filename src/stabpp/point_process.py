@@ -121,14 +121,13 @@ def _stream(seed: int, stream: int, rng) -> np.random.Generator:
 class DensitySpec:
     """Piecewise-constant density on a region: one nonnegative weight per box.
 
-    With ``normalized=True`` the weights must integrate to 1 (a probability
-    density); ``normalized=False`` admits any finite nonnegative intensity
-    profile, e.g. constant 1 per box over several unit intervals.
+    Any finite nonnegative profile with positive mass is accepted, e.g.
+    constant 1 per box over several unit intervals: the Poisson sampler
+    draws lambda times it, the fixed-n samplers by relative box mass.
     """
 
     region: Region
     weights: tuple[float, ...]
-    normalized: bool = True
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.weights)
@@ -141,14 +140,10 @@ class DensitySpec:
             raise ValueError("density must be positive somewhere")
         if not np.isfinite(self.total_mass):
             raise ValueError(f"density must have finite mass, got {self.total_mass}")
-        if self.normalized and abs(self.total_mass - 1.0) > 1e-9:
-            raise ValueError(
-                f"probability density must integrate to 1, got {self.total_mass}"
-            )
 
     @classmethod
     def homogeneous(cls, region: Region) -> "DensitySpec":
-        """Uniform probability density on the region (weights auto-normalized)."""
+        """Uniform probability density on the region: weight 1/volume per box."""
         w = 1.0 / region.volume
         return cls(region=region, weights=(w,) * len(region.boxes))
 
@@ -214,29 +209,26 @@ def sample_poisson(density: DensitySpec, lam: float, seed: int, stream: int = 0,
     return PointConfiguration(dimension=density.region.dimension, points=pts)
 
 
-def sample_binomial(region: Region, n: int, seed: int, stream: int = 0,
+def sample_binomial(density: DensitySpec, n: int, seed: int, stream: int = 0,
                     rng: np.random.Generator | None = None) -> PointConfiguration:
-    """Exactly n i.i.d. uniform points on the region.
+    """Exactly n i.i.d. points with the density: the fixed-n sample.
 
-    The box of each point is chosen with probability proportional to volume,
-    then the point is uniform within the box; output keeps box-major
+    The box of each point is chosen with probability proportional to box
+    mass, then the point is uniform within the box; output keeps box-major
     generation order.  A given ``rng`` is re-keyed as in ``sample_poisson``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = _stream(seed, stream, rng)
-    d = region.dimension
-    if n == 0:
-        return PointConfiguration(dimension=d, points=np.empty((0, d)))
-    vols = np.array([b.volume for b in region.boxes])
-    counts = rng.multinomial(n, vols / vols.sum())
-    parts = [_uniform_in_box(rng, box, int(c))
-             for box, c in zip(region.boxes, counts)]
-    return PointConfiguration(dimension=d, points=np.concatenate(parts, axis=0))
+    masses = density.box_masses
+    counts = rng.multinomial(n, masses / masses.sum())
+    boxes = density.region.boxes
+    parts = [_uniform_in_box(rng, box, int(c)) for box, c in zip(boxes, counts)]
+    return PointConfiguration(density.region.dimension, np.concatenate(parts))
 
 
 def sample_location(density: DensitySpec, rng: np.random.Generator) -> np.ndarray:
-    """One point distributed according to the (possibly unnormalized) density."""
+    """One point distributed according to the density."""
     masses = density.box_masses
     probs = masses / masses.sum()
     idx = int(rng.choice(len(probs), p=probs))

@@ -153,7 +153,7 @@ def test_criterion_6_exponential_stabilization():
 
 def test_criterion_7_exponential_gap_moments():
     """Interior nearest-neighbour gaps of a unit line process are Exp(2)."""
-    line = DensitySpec(Region.interval(0.0, 1000.0), (1.0,), normalized=False)
+    line = DensitySpec(Region.interval(0.0, 1000.0), (1.0,))
     gaps = []
     for s in range(50):
         x = np.sort(sample_poisson(line, 1.0, seed=42, stream=s).points[:, 0])

@@ -166,6 +166,23 @@ class TestSimulateCommand:
             "check failed: region 0: scaled variance 0.127402 misses target "
             "0.166667 by more than 1e-06 SE (0.0202)"]
 
+    def test_check_without_targets_fails(self, tmp_path, capsys):
+        # kNN in the plane has no closed-form target: nothing to compare is a
+        # failed check, after the report is written
+        box = [{"lower": [0.0, 0.0], "upper": [1.0, 1.0]}]
+        path = write_config(tmp_path, base_config(
+            dimension=2, density={"boxes": box, "homogeneous": True},
+            regions=[[{"lower": [0.0, 0.0], "upper": [0.5, 1.0]}],
+                     [{"lower": [0.5, 0.0], "upper": [1.0, 1.0]}]],
+            functional={"family": "knn_undirected", "k": 3, "alpha": 1.0},
+            lambda_grid=[50.0, 100.0], replicates=8, seed=1))
+        out = tmp_path / "knn"
+        assert cli.main(["simulate", "--config", path, "--check",
+                         "--out", str(out)]) == 1
+        assert (capsys.readouterr().err.splitlines()[-1]
+                == "check failed: no region has a closed-form target")
+        assert (out / "report.json").exists()
+
     def test_payload_is_what_run_experiment_returns(self, tmp_path):
         """report.json stores the dict run_experiment returns, key for key."""
         boxes = [{"lower": [0.0], "upper": [1.0]}, {"lower": [2.0], "upper": [3.0]}]
@@ -229,31 +246,33 @@ class TestSampleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 17
 
-    @pytest.mark.parametrize("density", [
-        {"boxes": [{"lower": [0.0, 0.0], "upper": [1.0, 1.0]}], "homogeneous": True},
-        {"boxes": [{"lower": [0.0], "upper": [1.0]}, {"lower": [2.0], "upper": [3.0]}],
-         "weights": [0.5, 0.5]},
-    ], ids=["two_d", "two_boxes"])
-    def test_homogeneous_needs_one_line_window(self, tmp_path, capsys, density):
-        box = density["boxes"][0]
+    def test_binomial_follows_the_weights(self, tmp_path, capsys):
+        # weights (1, 0): every point in [0, 1], none in the zero-weight box
+        boxes = [{"lower": [0.0], "upper": [1.0]}, {"lower": [2.0], "upper": [3.0]}]
         path = write_config(tmp_path, base_config(
-            dimension=len(box["lower"]), density=density, regions=[[box]]))
-        assert cli.main(["sample", "--config", path, "--process", "homogeneous",
-                         "--json"]) == 2
-        assert capsys.readouterr().err == (
-            "error: homogeneous sampling needs a single 1-d window\n")
+            density={"boxes": boxes, "weights": [1.0, 0.0]}, regions=[boxes[:1]]))
+        assert cli.main(["sample", "--config", path, "--process", "binomial",
+                         "--n", "100", "--json"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert len(points) == 100
+        assert all(0.0 <= x < 1.0 for (x,) in points)
 
-    def test_homogeneous_is_poisson_at_unit_weight(self, tmp_path, capsys):
-        # the unit-rate line ignores the plan's weights: on its window it is
-        # the Poisson draw of weight 1 at the same lambda and seed
-        window = [{"lower": [0.5], "upper": [2.25]}]
+    @pytest.mark.parametrize("window", [
+        [{"lower": [0.5], "upper": [2.25]}],
+        [{"lower": [0.5, -1.0], "upper": [2.25, 0.5]}],
+        [{"lower": [0.0], "upper": [1.0]}, {"lower": [2.0], "upper": [3.5]}],
+    ], ids=["line", "two_d", "two_boxes"])
+    def test_homogeneous_is_poisson_at_unit_weight(self, tmp_path, capsys, window):
+        # the homogeneous process ignores the plan's weights: on its region
+        # it is the Poisson draw of weight 1 per box at the same lambda and seed
         outputs = []
         for process, density in (
                 ("homogeneous", {"boxes": window, "homogeneous": True}),
-                ("poisson", {"boxes": window, "weights": [1.0],
+                ("poisson", {"boxes": window, "weights": [1.0] * len(window),
                              "normalized": False})):
-            path = write_config(tmp_path, base_config(density=density,
-                                                      regions=[window]))
+            path = write_config(tmp_path, base_config(
+                dimension=len(window[0]["lower"]), density=density,
+                regions=[window]))
             assert cli.main(["sample", "--config", path, "--process", process,
                              "--lambda", "300", "--seed", "3", "--json"]) == 0
             outputs.append(capsys.readouterr().out)
@@ -435,6 +454,10 @@ class TestBadValues:
          "density.homogeneous"),
         ({"density": {"boxes": [_box([0.0], [1.0])], "weights": [3.0],
                       "normalized": "false"}}, "density.normalized"),
+        ({"density": {"boxes": [_box([0.0], [1.0])], "weights": [2.0],
+                      "normalized": True}},
+         "config error: density.weights: probability density must integrate "
+         "to 1, got 2.0\n"),
     ], ids=["bound_not_number", "lower_not_below_upper", "scalar_lower",
             "weight_not_number", "negative_weight", "value_not_number",
             "seed_not_integer", "k_not_integer", "alpha_not_positive",
@@ -447,7 +470,7 @@ class TestBadValues:
             "piecewise_without_values", "box_of_other_dimension",
             "bounds_of_unequal_length", "region_without_boxes",
             "indicator_with_values", "test_function_count", "alpha_infinite",
-            "homogeneous_string", "normalized_string"])
+            "homogeneous_string", "normalized_string", "normalized_mass"])
     def test_simulate_exits_2_naming_the_key(self, tmp_path, capsys,
                                              overrides, named):
         cfg = (base_config(**{"replicates": 4, **overrides})

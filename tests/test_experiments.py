@@ -1,5 +1,6 @@
 """Estimators, normality diagnostics, rate fits, and the experiment pipeline."""
 
+import dataclasses
 import itertools
 import json
 import time
@@ -332,7 +333,7 @@ class TestRunReplicates:
         # exponent overflow first and refuse the plan
         region = Region.interval(0.0, 1000.0)
         plan = ex.ExperimentPlan(
-            density=DensitySpec(region=region, weights=(0.01,), normalized=False),
+            density=DensitySpec(region=region, weights=(0.01,)),
             test_functions=(TestFunctionSpec(region=region),),
             functional=FunctionalSpec(family=KNN_UNDIRECTED, alpha=200.0),
             lambda_grid=(1.0,),
@@ -349,8 +350,7 @@ class TestRunReplicates:
         # two regions over a two-box density, so points outside both regions
         # and (at lambda = 5) retried replicates occur
         support = Region.from_bounds([((0.0,), (1.0,)), ((1.0,), (2.0,))])
-        density = DensitySpec(region=support, weights=(1.0, 0.25),
-                              normalized=False)
+        density = DensitySpec(region=support, weights=(1.0, 0.25))
         regions = (Region.interval(0.0, 0.5), Region.interval(0.5, 1.25))
         alpha = 1.5
         plan = ex.ExperimentPlan(
@@ -512,6 +512,17 @@ class TestPipeline:
         assert (json.dumps(pooled, sort_keys=True)
                 == json.dumps(serial, sort_keys=True))
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_refused_before_any_pool(self, monkeypatch, seed):
+        # the plan refuses the seed itself, so no worker is forked to fail
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+            ex.run_experiment(dataclasses.replace(small_plan(), seed=seed), workers=2)
+
     def test_binomial_variance_matches_formula_constant(self):
         # Monte Carlo route to the same constant the closed form produces
         ((scaled_var, se),) = ex.binomial_scaled_variances(
@@ -542,10 +553,10 @@ class TestPipeline:
         # replicate r draws binomial stream r once; every exponent sums the
         # same gaps
         alphas, n = [0.5, 1.0, 2.0], 50
+        unit = DensitySpec(Region.interval(0.0, 1.0), (1.0,))
         data = []
         for r in range(30):
-            points = sample_binomial(Region.interval(0.0, 1.0), n, 3,
-                                     stream=(1 << 36) + r).points
+            points = sample_binomial(unit, n, 3, stream=(1 << 36) + r).points
             gaps = nn_distances(points)
             data.append([np.sum(gaps ** a) for a in alphas])
         _, _, variances, ses = ex.estimate_moments(np.array(data))
@@ -604,8 +615,7 @@ class TestTargets:
         support = Region.from_bounds([((0.0,), (1.0,)), ((1.0,), (2.0,))])
         region = Region.interval(0.0, 2.0)
         plan = ex.ExperimentPlan(
-            density=DensitySpec(region=support, weights=(1.0, 0.0),
-                                normalized=False),
+            density=DensitySpec(region=support, weights=(1.0, 0.0)),
             test_functions=(TestFunctionSpec(region=region),),
             functional=FunctionalSpec(family=DIRECTED_NN, alpha=2.0),
             lambda_grid=(50.0,), replicates=5, seed=1)
@@ -623,7 +633,7 @@ class TestTargets:
         region = Region.interval(0.0, 1.0)
         fields = dict(test_functions=(TestFunctionSpec(region=region),),
                       lambda_grid=(50.0,), replicates=5, seed=1)
-        density = DensitySpec(region=region, weights=(weight,), normalized=False)
+        density = DensitySpec(region=region, weights=(weight,))
         with pytest.raises(ValueError, match=f"functional.alpha={alpha:g}: the "
                                              f"closed-form targets overflow"):
             ex.ExperimentPlan(density=density, functional=FunctionalSpec(

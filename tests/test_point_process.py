@@ -13,22 +13,14 @@ def unit_density():
 
 
 class TestDensitySpec:
-    def test_probability_mode_validates_mass(self):
-        region = Region.interval(0.0, 2.0)
-        with pytest.raises(ValueError):
-            pp.DensitySpec(region=region, weights=(1.0,))
-        spec = pp.DensitySpec(region=region, weights=(0.5,))
-        assert spec.total_mass == pytest.approx(1.0)
-
     def test_relaxed_mode(self):
         region = Region.from_bounds([((0,), (1,)), ((2,), (3,))])
-        spec = pp.DensitySpec(region=region, weights=(1.0, 1.0), normalized=False)
+        spec = pp.DensitySpec(region=region, weights=(1.0, 1.0))
         assert spec.total_mass == pytest.approx(2.0)
 
     def test_needs_some_mass(self):
         with pytest.raises(ValueError):
-            pp.DensitySpec(region=unit_density().region, weights=(0.0,),
-                           normalized=False)
+            pp.DensitySpec(region=unit_density().region, weights=(0.0,))
 
     def test_homogeneous_auto_normalizes(self):
         region = Region.from_bounds([((0,), (1,)), ((2,), (4,))])
@@ -83,8 +75,7 @@ class TestDeterminism:
         region = Region.from_bounds([((-1.5, 2.0), (0.5, 2.25)),
                                      ((3.0, -4.0), (7.5, -1.0)),
                                      ((10.0, 0.1), (10.3, 9.9))])
-        dens = pp.DensitySpec(region=region, weights=(3.0, 0.4, 1.7),
-                              normalized=False)
+        dens = pp.DensitySpec(region=region, weights=(3.0, 0.4, 1.7))
         for stream in range(20):
             got = pp.sample_poisson(dens, 50.0, seed=11, stream=stream)
             rng = pp.generator(11, stream)
@@ -139,13 +130,13 @@ class TestRekey:
         rng = used_generators()[start]
         region = Region.from_bounds([((0.0, 0.0), (1.0, 1.0)),
                                      ((1.0, 0.0), (3.0, 0.5))])
-        dens = pp.DensitySpec(region=region, weights=(2.0, 0.7), normalized=False)
+        dens = pp.DensitySpec(region=region, weights=(2.0, 0.7))
         for stream in REKEY_STREAMS:
             got = pp.sample_poisson(dens, 40.0, seed=8, stream=stream, rng=rng)
             want = pp.sample_poisson(dens, 40.0, seed=8, stream=stream)
             assert np.array_equal(got.points, want.points)
-            got = pp.sample_binomial(region, 25, seed=8, stream=stream, rng=rng)
-            want = pp.sample_binomial(region, 25, seed=8, stream=stream)
+            got = pp.sample_binomial(dens, 25, seed=8, stream=stream, rng=rng)
+            want = pp.sample_binomial(dens, 25, seed=8, stream=stream)
             assert np.array_equal(got.points, want.points)
 
     def test_negative_stream_rejected(self):
@@ -164,7 +155,7 @@ class TestRekey:
 class TestPoissonLaw:
     def test_zero_weight_box_stays_empty(self):
         region = Region.from_bounds([((0,), (1,)), ((2,), (3,))])
-        dens = pp.DensitySpec(region=region, weights=(0.0, 1.0), normalized=False)
+        dens = pp.DensitySpec(region=region, weights=(0.0, 1.0))
         for stream in range(20):
             cfg = pp.sample_poisson(dens, 50.0, seed=2, stream=stream)
             assert np.all(cfg.points[:, 0] >= 2.0)
@@ -215,32 +206,51 @@ class TestPoissonLaw:
         assert p_coords > 0.001
 
 
+def two_unit_boxes(weights):
+    """Weights on [0, 1] and [2, 3]."""
+    region = Region.from_bounds([((0,), (1,)), ((2,), (3,))])
+    return pp.DensitySpec(region=region, weights=weights)
+
+
 class TestBinomial:
     def test_exact_count(self):
-        region = Region.interval(0.0, 1.0)
-        cfg = pp.sample_binomial(region, 1, seed=0)
+        dens = unit_density()
+        cfg = pp.sample_binomial(dens, 1, seed=0)
         assert len(cfg) == 1
         assert 0.0 <= cfg.points[0, 0] < 1.0
-        assert len(pp.sample_binomial(region, 0, seed=0)) == 0
+        empty = pp.sample_binomial(dens, 0, seed=0)
+        assert empty.points.shape == (0, 1)
 
     def test_uniform_mean(self):
-        region = Region.interval(0.0, 1.0)
-        cfg = pp.sample_binomial(region, 100_000, seed=4)
+        cfg = pp.sample_binomial(unit_density(), 100_000, seed=4)
         # 3 sigma CLT band with sigma = 1/sqrt(12)
         assert abs(cfg.points[:, 0].mean() - 0.5) <= 0.003
 
     def test_two_box_proportion(self):
-        region = Region.from_bounds([((0,), (1,)), ((2,), (3,))])
-        cfg = pp.sample_binomial(region, 100_000, seed=4)
+        cfg = pp.sample_binomial(two_unit_boxes((0.5, 0.5)), 100_000, seed=4)
         frac = (cfg.points[:, 0] < 1.0).mean()
         assert abs(frac - 0.5) <= 0.005
+
+    def test_box_chosen_by_mass(self):
+        # weights (3, 1) on equal boxes: box 0 holds 3/4 of the points
+        n = 100_000
+        cfg = pp.sample_binomial(two_unit_boxes((3.0, 1.0)), n, seed=4)
+        frac = (cfg.points[:, 0] < 1.0).mean()
+        se = np.sqrt(0.75 * 0.25 / n)
+        assert abs(frac - 0.75) <= 4.0 * se
+
+    def test_zero_weight_box_stays_empty(self):
+        dens = two_unit_boxes((1.0, 0.0))
+        for stream in range(20):
+            cfg = pp.sample_binomial(dens, 100, seed=2, stream=stream)
+            assert len(cfg) == 100
+            assert np.all(cfg.points[:, 0] < 1.0)
 
 
 def unit_line(intensity, window, seed, stream):
     """A homogeneous Poisson process of the given intensity on a 1-d window:
     a unit-weight density on the window, drawn at lambda = intensity."""
-    unit = pp.DensitySpec(Region(dimension=1, boxes=(window,)), (1.0,),
-                          normalized=False)
+    unit = pp.DensitySpec(Region(dimension=1, boxes=(window,)), (1.0,))
     return pp.sample_poisson(unit, intensity, seed, stream)
 
 

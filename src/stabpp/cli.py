@@ -37,7 +37,7 @@ _ENV_PREFIX = "STABPP_"
 
 
 class ConfigError(ValueError):
-    """Schema violation in the experiment configuration."""
+    """A usage or configuration error: a bad flag, setting or config value."""
 
 
 def _fmt(x) -> str:
@@ -275,24 +275,23 @@ def _write_report(out_dir: str, payload: dict, meta: dict) -> str:
     return path
 
 
+_REGION_COLUMNS = ("mean", "se_mean", "scaled_mean", "var", "se_var",
+                   "scaled_var", "target_mean", "target_var", "ks")
+
+
 def _write_tables(out_dir: str, payload: dict):
     m = max((len(lr["regions"]) for lr in payload["per_lambda"]), default=0)
     table = os.path.join(out_dir, "table.csv")
     with open(table, "w", encoding="utf-8") as fh:
-        corr_cols = [f"corr_{j}" for j in range(m)]
-        fh.write(",".join(
-            ["lambda", "region", "mean", "se_mean", "scaled_mean", "var",
-             "se_var", "scaled_var", "target_mean", "target_var", "ks",
-             "joint_discrepancy"] + corr_cols) + "\n")
+        fh.write(",".join(["lambda", "region", *_REGION_COLUMNS, "joint_discrepancy"]
+                          + [f"corr_{j}" for j in range(m)]) + "\n")
         for lr in payload["per_lambda"]:
             for rs in lr["regions"]:
                 corr = [_fmt(lr["correlations"][rs["index"]][j]) for j in range(m)]
                 fh.write(",".join(
-                    [_fmt(lr["lambda"]), str(rs["index"]), _fmt(rs["mean"]),
-                     _fmt(rs["se_mean"]), _fmt(rs["scaled_mean"]), _fmt(rs["var"]),
-                     _fmt(rs["se_var"]), _fmt(rs["scaled_var"]),
-                     _fmt(rs["target_mean"]), _fmt(rs["target_var"]),
-                     _fmt(rs["ks"]), _fmt(lr["joint_discrepancy"])] + corr) + "\n")
+                    [_fmt(lr["lambda"]), str(rs["index"])]
+                    + [_fmt(rs[key]) for key in _REGION_COLUMNS]
+                    + [_fmt(lr["joint_discrepancy"])] + corr) + "\n")
     rate = os.path.join(out_dir, "rate.csv")
     with open(rate, "w", encoding="utf-8") as fh:
         fh.write("lambda,joint_discrepancy,used_in_fit\n")
@@ -329,8 +328,7 @@ def _cmd_constants(args) -> int:
                          "delta_alpha": delta_alpha(a), "mean_coeff": exp_moment(a),
                          "delta_alpha_sq": delta_alpha_sq(a)})
         except ValueError as err:
-            print(f"error: --alpha: {err}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigError(f"--alpha: {err}") from err
     if args.json:
         print(json.dumps(rows, sort_keys=True))
         return EXIT_OK
@@ -344,16 +342,11 @@ def _cmd_constants(args) -> int:
 
 def _cmd_sample(args) -> int:
     if args.lam is not None and not 0.0 < args.lam < math.inf:
-        print(f"error: --lambda must be positive and finite, got {args.lam:g}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--lambda must be positive and finite, got {args.lam:g}")
     if args.n is not None and args.n < 0:
-        print(f"error: --n must be >= 0, got {args.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--n must be >= 0, got {args.n}")
     if args.n is not None and args.process != "binomial":
-        print(f"error: --n applies to --process binomial only, not {args.process}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--n applies to --process binomial only, not {args.process}")
     config = _load_config(args.config)
     plan = parse_plan(config, seed_override=args.seed)
     _parse_probe_and_check(config)
@@ -363,7 +356,7 @@ def _cmd_sample(args) -> int:
     if args.process == "poisson":
         cfg = sample_poisson(density, lam, seed, stream=0)
     elif args.process == "binomial":
-        n = args.n if args.n is not None else int(round(lam))
+        n = args.n if args.n is not None else int(round(lam * density.total_mass))
         cfg = sample_binomial(density, n, seed, stream=0)
     else:
         unit = DensitySpec(density.region, (1.0,) * len(density.region.boxes))
@@ -393,9 +386,8 @@ def _cmd_simulate(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         source = "--workers" if args.workers is not None else _ENV_PREFIX + "WORKERS"
-        print(f"error: {source} must be from 1 to the CPU count {cpus}, "
-              f"got {workers}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"{source} must be from 1 to the CPU count {cpus}, "
+                          f"got {workers}")
     out_dir = _setting(args.out, "OUT", str, ".")
 
     def progress(lam, entry):
@@ -486,8 +478,7 @@ def _rate_inputs(doc) -> tuple[list, list, int]:
 def _cmd_rate(args) -> int:
     fit, _, note = fit_rate(*_rate_inputs(_load_config(args.report)))
     if fit is None:
-        print(f"error: {note}; cannot refit", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise RuntimeError(f"{note}; cannot refit")
     if args.json:
         print(json.dumps(fit, sort_keys=True))
     else:

@@ -132,39 +132,25 @@ class Region:
 
 
 # ---------------------------------------------------------------------------
-# box subtraction: the exact containment test of the packing
+# the exact containment test of the packing
 
-def _subtract(piece, cut):
-    """Closed box minus closed box, as a list of closed boxes with positive extent."""
-    plo, phi = piece
-    clo = np.maximum(plo, cut[0])
-    chi = np.minimum(phi, cut[1])
-    if np.any(clo >= chi):
-        return [piece]  # no positive-measure overlap
-    out = []
-    lo = plo.copy()
-    hi = phi.copy()
-    for j in range(len(plo)):
-        if lo[j] < clo[j]:
-            left_hi = hi.copy()
-            left_hi[j] = clo[j]
-            out.append((lo.copy(), left_hi))
-        if chi[j] < hi[j]:
-            right_lo = lo.copy()
-            right_lo[j] = chi[j]
-            out.append((right_lo, hi.copy()))
-        lo[j] = clo[j]
-        hi[j] = chi[j]
-    return out
+def _covered_by(lo, hi, boxes) -> bool:
+    """True if the closed box [lo, hi] lies in the union of the closed `boxes`
+    (up to measure zero).
 
-
-def _covered_by(piece, cuts) -> bool:
-    """True if the closed box `piece` is covered by the closed boxes `cuts`
-    (up to measure zero)."""
-    pieces = [piece]
-    for cut in cuts:
-        pieces = [q for p in pieces for q in _subtract(p, cut)]
-    return not pieces
+    Each axis is cut at the box faces strictly inside [lo, hi], so every cell
+    of the grid lies in a box or meets it in measure zero; the box is covered
+    exactly when every cell lies in some box.  Only comparisons touch the
+    coordinates.
+    """
+    cuts = []
+    for j in range(len(lo)):
+        inner = {f for blo, bhi in boxes for f in (blo[j], bhi[j]) if lo[j] < f < hi[j]}
+        cuts.append(sorted({lo[j], hi[j]} | inner))
+    cells = itertools.product(*(zip(c, c[1:]) for c in cuts))
+    return all(any(all(blo[j] <= a and b <= bhi[j] for j, (a, b) in enumerate(cell))
+                   for blo, bhi in boxes)
+               for cell in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +195,6 @@ def packing(region: Region, lam: float) -> np.ndarray:
     for lo, hi in scaled:  # the cubes inside one box
         keep |= np.all((centers - 0.5 >= lo) & (centers + 0.5 <= hi), axis=1)
     if len(scaled) > 1:  # and those that only the union covers
-        keep[~keep] = [_covered_by((z - 0.5, z + 0.5), scaled)
+        keep[~keep] = [_covered_by(z - 0.5, z + 0.5, scaled)
                        for z in centers[~keep]]
     return centers[keep]

@@ -79,7 +79,7 @@ class TestConstantsCommand:
         # Gamma(2 + 2 alpha) in v_alpha overflows a double from alpha ~ 84.8
         assert cli.main(["constants", "--alpha", "1", alpha, "--json"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == (f"error: --alpha: Gamma({gamma}) overflows a "
+        assert captured.err == (f"config error: --alpha: Gamma({gamma}) overflows a "
                                 f"double at weight exponent {alpha}\n")
         assert captured.out == ""
 
@@ -256,6 +256,16 @@ class TestSampleCommand:
         points = json.loads(capsys.readouterr().out)["points"]
         assert len(points) == 100
         assert all(0.0 <= x < 1.0 for (x,) in points)
+
+    def test_binomial_count_follows_the_mass(self, tmp_path, capsys):
+        # weights (3, 1) on two unit boxes: mass 4, so the default count is
+        # round(lambda * 4), the Poisson draw's mean count
+        boxes = [{"lower": [0.0], "upper": [1.0]}, {"lower": [2.0], "upper": [3.0]}]
+        path = write_config(tmp_path, base_config(
+            density={"boxes": boxes, "weights": [3.0, 1.0]}, regions=[boxes[:1]]))
+        assert cli.main(["sample", "--config", path, "--process", "binomial",
+                         "--lambda", "100", "--seed", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 400
 
     @pytest.mark.parametrize("window", [
         [{"lower": [0.5], "upper": [2.25]}],
@@ -563,7 +573,8 @@ class TestBadValues:
         path = write_config(tmp_path, base_config(replicates=4))
         assert cli.main(argv + ["--config", path,
                                 "--out", str(tmp_path / "o")]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
         assert not (tmp_path / "o").exists()
 
 

@@ -280,6 +280,16 @@ class TestStabilizationProbe:
         assert payload["decay_slope"] < 0.0
         assert payload["censored_count"] == 0
 
+    def test_line_decay_slope_near_the_radius_law(self):
+        # criterion 6's plan: on the line, away from the ends, P[R > t] =
+        # exp(-2 kappa t), kappa = 1.  Over seeds 42 and 1-15 the slope ran
+        # from -2.194 to -1.555 (mean -1.982, SD 0.206); the band is 3 SD
+        density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        payload = fn.stabilization_probe(density, 200.0, spec, probe_count=500,
+                                         resample_count=5, seed=42)
+        assert abs(payload["decay_slope"] + 2.0) <= 0.6
+
     def test_constant_functional_stabilizes_at_zero(self, monkeypatch):
         density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)

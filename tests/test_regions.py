@@ -7,6 +7,77 @@ from hypothesis import given, settings, strategies as st
 from stabpp import regions as rg
 
 
+# ---------------------------------------------------------------------------
+# reference containment test: subtract every box from the cube, piece by piece
+
+def _subtract(piece, cut):
+    """Closed box minus closed box, as a list of closed boxes with positive extent."""
+    plo, phi = piece
+    clo = np.maximum(plo, cut[0])
+    chi = np.minimum(phi, cut[1])
+    if np.any(clo >= chi):
+        return [piece]  # no positive-measure overlap
+    out = []
+    lo = plo.copy()
+    hi = phi.copy()
+    for j in range(len(plo)):
+        if lo[j] < clo[j]:
+            left_hi = hi.copy()
+            left_hi[j] = clo[j]
+            out.append((lo.copy(), left_hi))
+        if chi[j] < hi[j]:
+            right_lo = lo.copy()
+            right_lo[j] = chi[j]
+            out.append((right_lo, hi.copy()))
+        lo[j] = clo[j]
+        hi[j] = chi[j]
+    return out
+
+
+def _reference_covered_by(piece, cuts) -> bool:
+    """True if the closed box `piece` is covered by the closed boxes `cuts`
+    (up to measure zero)."""
+    pieces = [piece]
+    for cut in cuts:
+        pieces = [q for p in pieces for q in _subtract(p, cut)]
+    return not pieces
+
+
+def reference_packing(region, lam):
+    """The covering's centers whose closed cube the subtraction leaves empty."""
+    scaled = rg._scaled_boxes(region, lam)
+    centers = rg.covering(region, lam)
+    keep = [_reference_covered_by((z - 0.5, z + 0.5), scaled) for z in centers]
+    return centers[np.array(keep, dtype=bool).reshape(len(centers))]
+
+
+# grid lines on each axis: faces of adjacent cells coincide, and at lambda = 1
+# the half-integers among them are unit-cube faces
+_GRID = (-1.0, -0.5, -0.25, 0.0, 0.3, 0.5, 0.75, 1.0, 1.5)
+
+
+@st.composite
+def grid_unions(draw):
+    """(region, lambda): up to four cells of a per-axis grid, so boxes share
+    faces and touch at corners; a cell may give up a small gap on one face."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    lines = [draw(st.lists(st.sampled_from(_GRID), min_size=2, max_size=4,
+                           unique=True).map(sorted)) for _ in range(d)]
+    cells = draw(st.lists(
+        st.tuples(*(st.integers(0, len(axis) - 2) for axis in lines)),
+        min_size=1, max_size=4, unique=True))
+    bounds = []
+    for cell in cells:
+        lo = [lines[j][i] for j, i in enumerate(cell)]
+        hi = [lines[j][i + 1] for j, i in enumerate(cell)]
+        gap = draw(st.sampled_from([0.0, 0.0, 1e-9, 0.01]))
+        axis = draw(st.integers(0, d - 1))
+        hi[axis] -= gap  # lines lie at least 0.2 apart: the box stays proper
+        bounds.append((tuple(lo), tuple(hi)))
+    lam = draw(st.sampled_from([1.0, 2.0 ** d, 10.0, 100.0]))
+    return rg.Region.from_bounds(bounds), lam
+
+
 def unit_interval():
     return rg.Region.interval(0.0, 1.0)
 
@@ -55,6 +126,22 @@ class TestCoveringPacking:
         # a gap, however small in appearance, breaks containment
         r_gap = rg.Region.from_bounds([((0,), (1.2,)), ((1.3,), (3,))])
         assert 1 not in rg.packing(r_gap, 1.0).ravel().tolist()
+
+    def test_cube_tiled_by_four_quarters_counts_in_packing(self):
+        # the cube [0.5, 1.5]^2 is tiled by four quarter-boxes, none holding it
+        quarters = [((a, b), (a + 0.5, b + 0.5)) for a in (0.5, 1.0) for b in (0.5, 1.0)]
+        packed = rg.packing(rg.Region.from_bounds(quarters), 1.0)
+        assert packed.tolist() == [[1, 1]]
+        empty = rg.packing(rg.Region.from_bounds(quarters[:3]), 1.0)
+        assert empty.dtype == np.int64 and empty.shape == (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=grid_unions())
+    def test_packing_equals_the_subtraction_reference(self, case):
+        region, lam = case
+        got, want = rg.packing(region, lam), reference_packing(region, lam)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_packing_subset_of_covering(self):
         rng = np.random.default_rng(11)

@@ -16,18 +16,26 @@ import argparse
 import datetime
 import hashlib
 import json
+import locale  # noqa: F401  argparse's gettext would import it building the parser
 import math
 import os
 import sys
 import time
 import warnings
 
-from . import __version__
-from .experiments import ExperimentPlan, check_targets, fit_rate, run_experiment
-from .functionals import FunctionalSpec, TestFunctionSpec, stabilization_probe
-from .point_process import DensitySpec, sample_binomial, sample_poisson
-from .regions import Box, Region
-from .special import delta_alpha, delta_alpha_sq, exp_moment, v_alpha
+# One BLAS thread, set before numpy loads below.  OpenBLAS would start a
+# busy-waiting thread per core, which no step uses, and split dot products of
+# over 10,000 elements across them, so payload bytes would follow the core
+# count.  Assigned, not defaulted, so the caller's environment cannot either.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+from . import __version__  # noqa: E402
+from .experiments import ExperimentPlan, check_targets, fit_rate, run_experiment  # noqa: E402
+from .functionals import FunctionalSpec, TestFunctionSpec, stabilization_probe  # noqa: E402
+from .point_process import DensitySpec, sample_binomial, sample_poisson  # noqa: E402
+from .regions import Box, Region  # noqa: E402
+from .special import delta_alpha, delta_alpha_sq, exp_moment, v_alpha  # noqa: E402
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -388,6 +396,12 @@ def _cmd_simulate(args) -> int:
         source = "--workers" if args.workers is not None else _ENV_PREFIX + "WORKERS"
         raise ConfigError(f"{source} must be from 1 to the CPU count {cpus}, "
                           f"got {workers}")
+    if workers > 1:
+        # the pool's modules load here, in set-up, not in the engine's run:
+        # the executor, and the fork and lock modules that starting it loads
+        import concurrent.futures.process  # noqa: F401
+        import multiprocessing.popen_fork  # noqa: F401
+        import multiprocessing.synchronize  # noqa: F401
     out_dir = _setting(args.out, "OUT", str, ".")
 
     def progress(lam, entry):

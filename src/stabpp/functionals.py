@@ -112,7 +112,8 @@ def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
     keys = np.sort(u * n + v)
     edges = keys[np.r_[True, keys[1:] != keys[:-1]]]
     eu, ev = edges // n, edges % n
-    w = np.sqrt(np.sum((points[eu] - points[ev]) ** 2, axis=1)) ** alpha
+    w = np.sqrt(np.sum((points.take(eu, axis=0) - points.take(ev, axis=0)) ** 2,
+                       axis=1)) ** alpha
     xi = np.zeros(n)
     np.add.at(xi, eu, 0.5 * w)
     np.add.at(xi, ev, 0.5 * w)

@@ -1,5 +1,6 @@
 """Command-line contract: schema validation, exit codes, determinism, outputs."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -116,6 +117,27 @@ class TestSimulateCommand:
         p1 = json.loads((out1 / "report.json").read_text())["payload"]
         p2 = json.loads((out2 / "report.json").read_text())["payload"]
         assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
+
+    def test_payload_independent_of_blas_threads(self, tmp_path):
+        """A region of more than 10,000 points per replicate: OpenBLAS splits
+        its dot product across threads, so without the CLI's one-thread rule
+        the payload bytes would follow OPENBLAS_NUM_THREADS and the core
+        count.  Fresh interpreters, since the count is read when numpy loads."""
+        cfg = write_config(tmp_path, base_config(lambda_grid=[12000.0],
+                                                 replicates=4, seed=3))
+        src = str(Path(stabpp.__file__).resolve().parent.parent)
+        payloads = set()
+        for threads in (None, "1", "2", "4"):
+            env = {"PYTHONPATH": src, "PATH": ""}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "stabpp.cli", "simulate", "--config", cfg,
+                 "--json", "--out", str(tmp_path / "o")],
+                capture_output=True, text=True, timeout=60, env=env)
+            assert proc.returncode == 0, proc.stderr
+            payloads.add(proc.stdout)
+        assert len(payloads) == 1
 
     def test_missing_density_names_key(self, tmp_path, capsys):
         cfg = base_config()
@@ -567,7 +589,7 @@ class TestBadValues:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a process pool was built")
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         if env is not None:
             monkeypatch.setenv("STABPP_WORKERS", env)
         path = write_config(tmp_path, base_config(replicates=4))
@@ -804,21 +826,41 @@ class TestFitPayloads:
 
 
 _NO_SCIPY_RUN = """
-import json, sys
+import functools, json, sys
 sys.modules["scipy"] = None          # any scipy import now fails
 from stabpp import cli
+engine, entered = cli.run_experiment, []
+@functools.wraps(engine)
+def entry(*args, **kwargs):
+    entered.append(set(sys.modules))
+    return engine(*args, **kwargs)
+cli.run_experiment = entry
 before = set(sys.modules)
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
+print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before),
+                  "in_engine": sorted(set(sys.modules) - entered[0]),
+                  "multiprocessing": "multiprocessing" in sys.modules}))
 """
+
+
+def _run_without_scipy(argvs):
+    """The result of ``_NO_SCIPY_RUN`` on the argvs, in a fresh interpreter,
+    so the test suite's own imports cannot hide a late one."""
+    src = str(Path(stabpp.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", _NO_SCIPY_RUN, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 class TestImportBudget:
     def test_runs_without_scipy_and_imports_nothing_late(self, tmp_path):
         """The CLI runs with scipy blocked, and after ``import stabpp.cli``
-        a simulate or a probe loads no further module (a lazy import would land in the
-        timed part of the run).  A fresh interpreter, so the test suite's own
-        imports cannot hide one."""
+        a simulate or a probe loads no further module (a lazy import would
+        land in the timed part of the run); no serial command loads the
+        process pool's ``multiprocessing``."""
         plan_1d = write_config(tmp_path, base_config(
             lambda_grid=[50.0, 100.0], replicates=12), "d1.json")
         plan_2d = write_config(tmp_path, {
@@ -835,11 +877,18 @@ class TestImportBudget:
                  ["simulate", "--config", plan_1d, "--out", str(tmp_path / "o1")],
                  ["simulate", "--config", plan_2d, "--out", str(tmp_path / "o2")],
                  ["stab-probe", "--config", probe, "--out", str(tmp_path / "o3")]]
-        src = str(Path(stabpp.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-W", "ignore", "-c", _NO_SCIPY_RUN, json.dumps(argvs)],
-            capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": src, "PATH": ""})
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"codes": [0, 0, 0, 0], "added": []}
+        assert _run_without_scipy(argvs) == {
+            "codes": [0, 0, 0, 0], "added": [], "in_engine": [],
+            "multiprocessing": False}
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    def test_pool_modules_load_before_the_engine(self, tmp_path):
+        """``simulate --workers 2`` loads the pool's modules in set-up, so no
+        module is added between entering the engine and ``main`` returning."""
+        plan = write_config(tmp_path, base_config(
+            lambda_grid=[50.0, 100.0], replicates=12))
+        argvs = [["simulate", "--config", plan, "--workers", "2",
+                  "--out", str(tmp_path / "o")]]
+        result = _run_without_scipy(argvs)
+        assert (result["codes"], result["in_engine"],
+                result["multiprocessing"]) == ([0], [], True)

@@ -1,5 +1,6 @@
 """Estimators, normality diagnostics, rate fits, and the experiment pipeline."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -506,7 +507,7 @@ class TestPipeline:
             warnings.simplefilter("ignore")
             serial = ex.run_experiment(plan)
             assert starts == []
-            monkeypatch.setattr(ex, "ProcessPoolExecutor", CountingPool)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
             pooled = ex.run_experiment(plan, workers=2)
         assert starts == [2]
         assert (json.dumps(pooled, sort_keys=True)
@@ -519,7 +520,7 @@ class TestPipeline:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a process pool was built")
 
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
             ex.run_experiment(dataclasses.replace(small_plan(), seed=seed), workers=2)
 

@@ -30,6 +30,41 @@ def lattice_clouds(draw):
     return pts * scale, k
 
 
+def per_row_oracle(points, k):
+    """The oracle as a loop: each row's distances, one lexsort by (distance,
+    index) per row.  The reference of the blocked ``brute_force_knn``."""
+    n = len(points)
+    out = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        diff = points - points[i]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        d[i] = np.inf
+        out[i] = np.lexsort((np.arange(n), d))[:k]
+    return out
+
+
+class TestOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_clouds())
+    def test_lattices_match_per_row_loop(self, cloud):
+        pts, k = cloud
+        assert np.array_equal(nb.brute_force_knn(pts, k), per_row_oracle(pts, k))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["uniform", "lattice", "identical"])
+    def test_across_blocks(self, d, shape):
+        # 300 rows: two full blocks of the oracle and a partial one
+        rng = np.random.default_rng(d)
+        if shape == "uniform":
+            pts = rng.uniform(-1.0, 1.0, size=(300, d))
+        elif shape == "lattice":
+            pts = rng.integers(0, 4, size=(300, d)).astype(float)
+        else:
+            pts = np.full((300, d), 0.5)
+        for k in (1, 5):
+            assert np.array_equal(nb.brute_force_knn(pts, k), per_row_oracle(pts, k))
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_random_instances(self, d):

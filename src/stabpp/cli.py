@@ -33,7 +33,7 @@ os.environ.update(dict.fromkeys(
 from . import __version__  # noqa: E402
 from .experiments import ExperimentPlan, check_targets, fit_rate, run_experiment  # noqa: E402
 from .functionals import FunctionalSpec, TestFunctionSpec, stabilization_probe  # noqa: E402
-from .point_process import DensitySpec, sample_binomial, sample_poisson  # noqa: E402
+from .point_process import DensitySpec, check_count, sample_binomial, sample_poisson  # noqa: E402
 from .regions import Box, Region  # noqa: E402
 from .special import delta_alpha, delta_alpha_sq, exp_moment, v_alpha  # noqa: E402
 
@@ -106,6 +106,14 @@ def _seed(config: dict, flag: int | None) -> int:
         if value is not None and not 0 <= value < 1 << 64:
             raise ConfigError(f"{where} must be an integer in [0, 2^64), got {value}")
     return next((v for v in sources.values() if v is not None), 0)
+
+
+def _check_count(count, where: str):
+    """``point_process.check_count``, its refusal a ConfigError."""
+    try:
+        return check_count(count, where)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def _parse_box(obj: dict, where: str) -> Box:
@@ -202,9 +210,11 @@ def _parse_plan_fields(config: dict) -> dict:
     return fields
 
 
-def _parse_probe_and_check(config: dict) -> tuple[dict | None, float]:
+def _parse_probe_and_check(config: dict, density: DensitySpec
+                           ) -> tuple[dict | None, float]:
     """The optional probe block (None when absent) and the check's
-    standard-error multiplier (3 by default), validated for every command."""
+    standard-error multiplier (3 by default), validated for every command;
+    ``density`` is the plan's, whose mass sets the probe's mean count."""
     probe = None
     if "probe" in config:
         obj = config["probe"]
@@ -218,6 +228,8 @@ def _parse_probe_and_check(config: dict) -> tuple[dict | None, float]:
         if not 1.0 <= probe["lambda"] < math.inf:
             raise ConfigError(
                 f"probe.lambda must be finite and >= 1, got {probe['lambda']!r}")
+        _check_count(probe["lambda"] * density.total_mass,
+                     f"probe.lambda {probe['lambda']:g}")
     check = config.get("check", {})
     _require_keys(check, "check", (), ("se_multiplier",))
     se_multiplier = _parse_number(check.get("se_multiplier", 3.0),
@@ -357,18 +369,21 @@ def _cmd_sample(args) -> int:
         raise ConfigError(f"--n applies to --process binomial only, not {args.process}")
     config = _load_config(args.config)
     plan = parse_plan(config, seed_override=args.seed)
-    _parse_probe_and_check(config)
+    _parse_probe_and_check(config, plan.density)
     density, seed = plan.density, plan.seed
     dimension = density.region.dimension
+    if args.process == "homogeneous":  # the unit rate on the plan's region
+        density = DensitySpec(density.region, (1.0,) * len(density.region.boxes))
     lam = args.lam if args.lam is not None else plan.lambda_grid[0]
-    if args.process == "poisson":
-        cfg = sample_poisson(density, lam, seed, stream=0)
-    elif args.process == "binomial":
-        n = args.n if args.n is not None else int(round(lam * density.total_mass))
-        cfg = sample_binomial(density, n, seed, stream=0)
+    if args.n is not None:
+        count = _check_count(args.n, f"--n {args.n}")
+    else:  # the Poisson draw's mean count, and the binomial draw's default n
+        count = _check_count(lam * density.total_mass, f"--lambda {lam:g}"
+                             if args.lam is not None else f"lambda_grid value {lam:g}")
+    if args.process == "binomial":
+        cfg = sample_binomial(density, round(count), seed, stream=0)
     else:
-        unit = DensitySpec(density.region, (1.0,) * len(density.region.boxes))
-        cfg = sample_poisson(unit, lam, seed, stream=0)
+        cfg = sample_poisson(density, lam, seed, stream=0)
     if args.json:
         print(json.dumps({"seed": seed, "lambda": lam, "count": len(cfg),
                           "points": cfg.points.tolist()}))
@@ -388,7 +403,7 @@ def _cmd_simulate(args) -> int:
     started = time.time()
     config = _load_config(args.config)
     plan = parse_plan(config, seed_override=args.seed)
-    _, se_multiplier = _parse_probe_and_check(config)
+    _, se_multiplier = _parse_probe_and_check(config, plan.density)
     workers = _setting(args.workers, "WORKERS", int, 1)
     # a pool starts all its processes at once, so the count stays within the CPUs
     cpus = os.cpu_count() or 1
@@ -432,7 +447,7 @@ def _cmd_stab_probe(args) -> int:
     _require_keys(config, "config", _PROBE_KEYS_REQUIRED,
                   _TOP_KEYS_REQUIRED + _TOP_KEYS_OPTIONAL)
     fields = _parse_plan_fields(config)
-    probe, _ = _parse_probe_and_check(config)
+    probe, _ = _parse_probe_and_check(config, fields["density"])
     seed = _seed(config, args.seed)
     out_dir = _setting(args.out, "OUT", str, ".")
     payload = stabilization_probe(

@@ -17,8 +17,8 @@ A log-log fit of discrepancy against intensity estimates the convergence
 rate, after censoring intensities whose discrepancy sits below the Monte
 Carlo noise floor ~ 1/sqrt(replicates).
 
-The fixed-n counterpart of the scaled variance, n i.i.d. uniform points in
-place of a Poisson process, comes from ``binomial_scaled_variances``.
+The fixed-n counterpart of the scaled variance, n i.i.d. points of the plan's
+density in place of a Poisson process, comes from ``binomial_scaled_variances``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from . import point_process
 from .functionals import (DIRECTED_NN, FunctionalSpec, TestFunctionSpec,
                           fit_line, t_vector)
-from .neighbors import nn_distances
 from .point_process import (BINOMIAL_STREAM_BASE, DensitySpec, first_with,
                             replicate_streams, sample_binomial, sample_poisson)
 from .regions import Region
@@ -121,6 +120,8 @@ class ExperimentPlan:
             raise ValueError("lambda_grid values must be positive and finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("lambda_grid must be strictly increasing")
+        point_process.check_count(grid[-1] * self.density.total_mass,
+                                  f"lambda_grid value {grid[-1]:g}")
         if np.isnan(self.t_grid).any():
             raise ValueError("t_grid values must not be NaN")
         _check_grid(len(regions), len(self.t_grid), "t_grid")
@@ -416,28 +417,26 @@ def check_targets(payload: dict, multiplier: float) -> list[str]:
 # ---------------------------------------------------------------------------
 # the fixed-n (binomial) scaled variance
 
-def binomial_scaled_variances(alphas, n: int, replicates: int,
-                              seed: int) -> list[tuple[float, float]]:
-    """n^(2a-1) Var[sum of nearest-neighbour gaps^a] of n i.i.d. uniform
-    points on [0, 1], with its standard error, for each exponent a.
+def binomial_scaled_variances(plan: ExperimentPlan, lam: float
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-n "scaled_var" and "se_scaled_var" at lam, per test function.
 
-    Replicate r draws stream BINOMIAL_STREAM_BASE + r of the seed, and one
-    draw serves every exponent.  The limit is v_alpha(a); a Poisson process
-    of unit density adds delta_alpha(a)^2, which the engine's "scaled_var"
-    of the same plan carries.
+    Replicate r scores, with ``t_vector``, n = round(lam * total mass) points
+    of the plan's density from stream BINOMIAL_STREAM_BASE + r; an n outside
+    [k+1, MAX_COUNT) raises ValueError first.  On [0, 1] at unit density the
+    directed limit is v_alpha, and Poisson input adds delta_alpha^2.
     """
-    if n < 2:
-        raise ValueError(f"n={n}: a nearest neighbour needs at least 2 points")
-    alphas = [float(a) for a in alphas]
-    unit = DensitySpec(Region.interval(0.0, 1.0), (1.0,))
-    rng = point_process.generator(seed, 0)  # re-keyed for every draw
-    data = np.empty((replicates, len(alphas)))
-    for r in range(replicates):
-        config = sample_binomial(unit, n, seed,
-                                 stream=BINOMIAL_STREAM_BASE + r, rng=rng)
-        gaps = nn_distances(config.points)
-        data[r] = [np.sum(gaps ** a) for a in alphas]
+    spec = plan.functional
+    n = round(point_process.check_count(lam * plan.density.total_mass,
+                                        f"lambda={lam:g}"))
+    if n < spec.min_points:
+        raise ValueError(f"n={n} points at lambda={lam}: the {spec.family} "
+                         f"score needs at least {spec.min_points}")
+    rng = point_process.generator(plan.seed, 0)  # re-keyed for every draw
+    data = np.array([
+        t_vector(sample_binomial(plan.density, n, plan.seed,
+                                 stream=BINOMIAL_STREAM_BASE + r, rng=rng),
+                 plan.test_functions, spec, lam)
+        for r in range(plan.replicates)])
     _, _, var, se_var = estimate_moments(data)
-    scales = [n ** (2.0 * a - 1.0) for a in alphas]
-    return [(float(c * v), float(c * se))
-            for c, v, se in zip(scales, var, se_var)]
+    return var / lam, se_var / lam

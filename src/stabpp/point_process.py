@@ -60,6 +60,19 @@ PROBE_STREAM_BASE = 1 << 40
 
 MAX_DRAWS = 4  # a first draw and 3 retries: len(replicate_streams(r))
 
+# numpy's largest Poisson mean (``Generator.poisson`` refuses any above it);
+# it is below 2^63, so a count under it also fits a multinomial draw's int64
+MAX_COUNT = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+
+
+def check_count(count, where: str):
+    """``count``, a number of points to draw (a Poisson mean or a fixed n),
+    when it lies below ``MAX_COUNT``; else ValueError naming ``where``."""
+    if not count < MAX_COUNT:
+        raise ValueError(f"{where}: a count of {count:.4g} points is at or "
+                         f"above the limit {MAX_COUNT:.4g}")
+    return count
+
 
 def replicate_streams(r: int) -> tuple[int, ...]:
     """Stream r, then its 3 reserved retry streams."""

@@ -28,15 +28,20 @@ def _report(criterion: int, ok: bool, detail: str):
           f"{'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def directed_run(alpha, intervals, lambda_grid, replicates, workers=1):
-    """The directed run of the plan ``stabpp simulate`` would read: unit
-    density on each interval, one indicator region per interval, seed 42."""
+def directed_plan(alpha, intervals, lambda_grid, replicates):
+    """The directed plan ``stabpp simulate`` would read: unit density on each
+    interval, one indicator region per interval, seed 42."""
     boxes = [{"lower": [a], "upper": [b]} for a, b in intervals]
-    plan = cli.parse_plan({
+    return cli.parse_plan({
         "dimension": 1, "density": {"boxes": boxes, "weights": [1.0] * len(boxes)},
         "regions": [[box] for box in boxes],
         "functional": {"family": "nn_directed", "alpha": alpha},
         "lambda_grid": lambda_grid, "replicates": replicates, "seed": 42})
+
+
+def directed_run(alpha, intervals, lambda_grid, replicates, workers=1):
+    """The run of ``directed_plan``."""
+    plan = directed_plan(alpha, intervals, lambda_grid, replicates)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return ex.run_experiment(plan, workers=workers)
@@ -172,12 +177,12 @@ def test_criterion_8_poisson_binomial_excess(run_alpha1, run_alpha2):
     """delta_1 = 0: equal scaled variances at alpha=1; excess 1/4 at alpha=2.
 
     The Poisson side is criterion 3's runs at lambda=2000; the binomial side
-    draws n=2000 fixed points, as many replicates, same seed."""
-    binomial = ex.binomial_scaled_variances([1.0, 2.0], n=2000,
-                                            replicates=20_000, seed=42)
+    scores n=2000 fixed points of the same plans, as many replicates."""
+    binomial = [ex.binomial_scaled_variances(
+        directed_plan(a, [(0.0, 1.0)], [2000.0], 20_000), 2000.0) for a in (1.0, 2.0)]
     poisson = [run["per_lambda"][0]["regions"][0] for run in (run_alpha1, run_alpha2)]
     (x1, se1), (x2, se2) = [
-        (rs["scaled_var"] - var, math.hypot(rs["se_scaled_var"], se))
+        (rs["scaled_var"] - var[0], math.hypot(rs["se_scaled_var"], se[0]))
         for rs, (var, se) in zip(poisson, binomial)]
     ok1 = abs(x1) <= 3.0 * se1
     ok2 = abs(x2 - 0.25) <= 3.0 * se2 and x2 > 0.0

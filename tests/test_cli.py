@@ -17,6 +17,7 @@ import stabpp
 from stabpp import cli
 from stabpp import experiments as ex
 from stabpp import functionals as fn
+from stabpp.point_process import MAX_COUNT
 from stabpp.special import delta_alpha_sq, v_alpha
 
 
@@ -417,6 +418,9 @@ def _box(lower, upper):
     return {"lower": lower, "upper": upper}
 
 
+TWO_BOXES = [_box([0.0], [1.0]), _box([2.0], [3.0])]
+
+
 class TestBadValues:
     """A bad value anywhere in the plan is a config error naming its key, in
     both commands that build the plan."""
@@ -562,6 +566,48 @@ class TestBadValues:
         assert capsys.readouterr().err == (
             f"config error: {source} must be an integer in [0, 2^64), "
             f"got {value}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, overrides, named", [
+        (["sample", "--lambda", "1e308"], {}, "--lambda 1e+308"),
+        (["sample", "--process", "homogeneous", "--lambda", "1e308"], {},
+         "--lambda 1e+308"),
+        (["sample", "--process", "binomial", "--lambda", "1e308"],
+         {"density": {"boxes": TWO_BOXES, "weights": [3.0, 1.0]}},
+         "--lambda 1e+308"),
+        (["sample", "--process", "binomial", "--lambda", "1e308"], {},
+         "--lambda 1e+308"),
+        (["sample", "--process", "binomial", "--n", str(10 ** 20)], {},
+         f"--n {10 ** 20}"),
+        (["sample", "--process", "binomial", "--n", str(int(MAX_COUNT))], {},
+         f"--n {int(MAX_COUNT)}"),
+        (["simulate"], {"lambda_grid": [1e300]}, "lambda_grid value 1e+300"),
+        (["sample"], {"lambda_grid": [1e300]}, "lambda_grid value 1e+300"),
+        *[([command], {"probe": {"count": 5, "lambda": 1e308}},
+           "probe.lambda 1e+308") for command in ("stab-probe", "simulate", "sample")],
+    ], ids=["poisson", "homogeneous", "binomial_mass_4", "binomial_mass_1", "n",
+            "n_at_the_limit", "simulate_grid", "sample_grid", "probe",
+            "simulate_probe", "sample_probe"])
+    def test_count_beyond_numpy_exits_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, argv, overrides, named):
+        # numpy draws no Poisson mean at or above MAX_COUNT, nor a fixed n
+        # beyond an int64: such a count is refused with the flag or key.
+        # The default density has weights (1, 0) on two unit boxes: mass 1.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a configuration was drawn")
+
+        for owner, name in ((ex, "sample_poisson"), (cli, "sample_poisson"),
+                            (cli, "sample_binomial"), (fn, "sample_poisson_rng")):
+            monkeypatch.setattr(owner, name, no_draw)
+        cfg = base_config(**{
+            "density": {"boxes": TWO_BOXES, "weights": [1.0, 0.0]},
+            "regions": [TWO_BOXES[:1]], "replicates": 4,
+            "probe": {"count": 5, "lambda": 60.0}, **overrides})
+        assert cli.main(argv + ["--config", write_config(tmp_path, cfg),
+                                "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named}: a count of ")
+        assert err.endswith(" points is at or above the limit 9.223e+18\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, env, named", [

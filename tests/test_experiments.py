@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import json
+import re
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -526,45 +527,94 @@ class TestPipeline:
 
     def test_binomial_variance_matches_formula_constant(self):
         # Monte Carlo route to the same constant the closed form produces
-        ((scaled_var, se),) = ex.binomial_scaled_variances(
-            [1.0], n=1500, replicates=3000, seed=19)
+        (scaled_var,), (se,) = ex.binomial_scaled_variances(
+            small_plan(replicates=3000, seed=19), 1500.0)
         assert scaled_var == pytest.approx(v_alpha(1.0), abs=4.0 * se)
 
     def test_poisson_excess_sign_for_alpha_2(self):
         # the Poisson side is the engine's scaled variance of the same plan
         (rs,) = directed_report(2.0, [1.0], [(0.0, 1.0)], 800.0, 2500,
                                 23)["per_lambda"][0]["regions"]
-        ((binomial_var, binomial_se),) = ex.binomial_scaled_variances(
-            [2.0], n=800, replicates=2500, seed=23)
+        (binomial_var,), (binomial_se,) = ex.binomial_scaled_variances(
+            small_plan(replicates=2500, seed=23, alpha=2.0), 800.0)
         excess = rs["scaled_var"] - binomial_var
         combined_se = np.hypot(rs["se_scaled_var"], binomial_se)
         assert excess > 0.0
         assert excess == pytest.approx(0.25, abs=4.0 * combined_se + 0.02)
 
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_too_few_points_fail_fast(self, n):
-        # no nearest neighbour with fewer than 2 points: refused before any
-        # draw, naming n
+    @pytest.mark.parametrize("lam, n", [(0.4, 0), (3.4, 3)])
+    def test_too_few_points_fail_fast(self, lam, n):
+        # k = 3 needs 4 points: refused before any draw, naming n and lambda
+        plan = dataclasses.replace(small_plan(replicates=100_000), functional=
+                                   FunctionalSpec(family=KNN_UNDIRECTED, k=3))
         started = time.perf_counter()
-        with pytest.raises(ValueError, match=f"n={n}"):
-            ex.binomial_scaled_variances([1.0], n=n, replicates=5, seed=0)
+        with pytest.raises(ValueError, match=f"n={n} points at lambda={lam}"):
+            ex.binomial_scaled_variances(plan, lam)
         assert time.perf_counter() - started < 1.0
 
-    def test_binomial_draws_one_stream_per_replicate_for_every_alpha(self):
-        # replicate r draws binomial stream r once; every exponent sums the
-        # same gaps
-        alphas, n = [0.5, 1.0, 2.0], 50
+    @pytest.mark.parametrize("lam", [1e300, np.inf])
+    def test_count_beyond_numpy_refused(self, lam):
+        with pytest.raises(ValueError, match=re.escape(f"lambda={lam:g}: a count of")):
+            ex.binomial_scaled_variances(small_plan(), lam)
+
+    @pytest.mark.parametrize("family, k", [(DIRECTED_NN, 1), (KNN_UNDIRECTED, 2)])
+    def test_binomial_draws_one_stream_per_replicate(self, family, k):
+        # replicate r scores binomial stream r with t_vector: here n = 80
+        # points on two boxes of weights 3 and 1 in the plane, one region each
+        boxes = (((0.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (2.0, 1.0)))
+        plan = ex.ExperimentPlan(
+            density=DensitySpec(Region.from_bounds(boxes), (3.0, 1.0)),
+            test_functions=tuple(TestFunctionSpec(region=Region.from_bounds([b]))
+                                 for b in boxes),
+            functional=FunctionalSpec(family=family, k=k, alpha=1.5),
+            lambda_grid=(20.0,), replicates=12, seed=3)
+        rows = [t_vector(sample_binomial(plan.density, 80, 3, stream=(1 << 36) + r),
+                         plan.test_functions, plan.functional, 20.0)
+                for r in range(12)]
+        _, _, var, se_var = ex.estimate_moments(np.array(rows))
+        scaled_var, se_scaled_var = ex.binomial_scaled_variances(plan, 20.0)
+        assert np.array_equal(scaled_var, var / 20.0)
+        assert np.array_equal(se_scaled_var, se_var / 20.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_binomial_equals_the_gap_reference(self, alpha):
+        # on the unit interval at unit density the statistic is
+        # n^alpha * sum of nearest-neighbour gaps^alpha, so the scaled
+        # variance is n^(2 alpha - 1) Var[sum of gaps^alpha]
+        n = 50
         unit = DensitySpec(Region.interval(0.0, 1.0), (1.0,))
-        data = []
-        for r in range(30):
-            points = sample_binomial(unit, n, 3, stream=(1 << 36) + r).points
-            gaps = nn_distances(points)
-            data.append([np.sum(gaps ** a) for a in alphas])
-        _, _, variances, ses = ex.estimate_moments(np.array(data))
-        expected = [(n ** (2.0 * a - 1.0) * var, n ** (2.0 * a - 1.0) * se)
-                    for a, var, se in zip(alphas, variances, ses)]
-        assert ex.binomial_scaled_variances(alphas, n=n, replicates=30,
-                                            seed=3) == expected
+        sums = [np.sum(nn_distances(sample_binomial(
+                    unit, n, 3, stream=(1 << 36) + r).points) ** alpha)
+                for r in range(30)]
+        _, _, (var,), (se,) = ex.estimate_moments(matrix(sums))
+        (scaled_var,), (se_scaled_var,) = ex.binomial_scaled_variances(
+            small_plan(replicates=30, seed=3, alpha=alpha), float(n))
+        assert scaled_var == pytest.approx(n ** (2.0 * alpha - 1.0) * var, rel=1e-12)
+        assert se_scaled_var == pytest.approx(n ** (2.0 * alpha - 1.0) * se, rel=1e-12)
+
+    def test_fixed_n_excess_in_the_plane(self):
+        # Poisson minus fixed-n scaled variance is delta_d^2, with delta_d =
+        # omega_d^(-a/d) Gamma(1 + a/d) (1 - a/d) the mean add-one cost of
+        # the directed score: 1/16 on the unit square at a = 1, where the
+        # line's delta_1^2 is 0.  The Poisson side is the engine's matrix.
+        square = Region.from_bounds([((0.0, 0.0), (1.0, 1.0))])
+        plan = ex.ExperimentPlan(
+            density=DensitySpec(square, (1.0,)),
+            test_functions=(TestFunctionSpec(region=square),),
+            functional=FunctionalSpec(family=DIRECTED_NN, alpha=1.0),
+            lambda_grid=(500.0,), replicates=2000, seed=5)
+        _, _, (var,), (se_var,) = ex.estimate_moments(ex.run_replicates(plan, 500.0))
+        (binomial,), (se_binomial,) = ex.binomial_scaled_variances(plan, 500.0)
+        excess = var / 500.0 - binomial
+        se = np.hypot(se_var / 500.0, se_binomial)
+        assert abs(excess - 1.0 / 16.0) <= 3.0 * se
+        assert excess > 3.0 * se  # the line's value, 0, sits far off
+        # a kNN plan in the plane runs through the same path
+        knn = dataclasses.replace(plan, replicates=20, functional=FunctionalSpec(
+            family=KNN_UNDIRECTED, k=3, alpha=1.0))
+        scaled_var, se_scaled_var = ex.binomial_scaled_variances(knn, 500.0)
+        assert np.isfinite(scaled_var).all() and (scaled_var > 0.0).all()
+        assert np.isfinite(se_scaled_var).all() and (se_scaled_var > 0.0).all()
 
     def test_normal_cdf_reference(self):
         # ndtr is the Phi used throughout; pin it against the error function

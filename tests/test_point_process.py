@@ -153,6 +153,15 @@ class TestRekey:
 
 
 class TestPoissonLaw:
+    def test_count_limit_is_numpys_largest_poisson_mean(self):
+        # one count is drawn, not that many points: numpy takes a mean of
+        # MAX_COUNT and refuses the next double, and MAX_COUNT fits an int64
+        rng = pp.generator(0, 0)
+        assert rng.poisson(pp.MAX_COUNT) > 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(pp.MAX_COUNT, np.inf))
+        assert pp.MAX_COUNT < 2.0 ** 63
+
     def test_zero_weight_box_stays_empty(self):
         region = Region.from_bounds([((0,), (1,)), ((2,), (3,))])
         dens = pp.DensitySpec(region=region, weights=(0.0, 1.0))

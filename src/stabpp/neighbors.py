@@ -13,17 +13,18 @@ c = (n-1) // 100, which bracket the 1% and 99% quantiles; one
 keeps a few far outliers from crowding all other points into one cell;
 points beyond them are clamped into the edge cells.  Each axis has its own
 cell width; an axis of zero extent, or thinner than a cell, gets a single
-cell, so collinear and thin inputs cannot shrink the cells.  All queries
-gather their candidates from the block of cells within r cells of their own
-at once.  A point outside the block is farther than r times the smallest
-width of an axis with several cells (a clamped point lies even farther out
-than its cell says), so a row whose k-th distance is below that bound is
-final; the rows that fail are redone with r doubled.  A final row's k
-neighbours are picked in k passes of ``np.minimum.reduceat`` over its
-candidates, without sorting them: each pass takes the least distance, then
-the least index among the candidates at that distance.
-Queries go in chunks so that the candidate arrays stay bounded: all-duplicate
-input puts n^2 candidates into one cell.
+cell, so collinear and thin inputs cannot shrink the cells.  Cells are
+numbered row-major and the points sorted by cell, so the block of cells within
+r cells of a query's own is (2r+1)^(d-1) contiguous runs of the sorted points,
+one along the last axis per offset on the leading axes (one run in d = 1).  A
+point outside the block is farther than r times the smallest width of an axis
+with several cells (a clamped point lies even farther out than its cell says),
+so a row with k candidates below that bound is final; the others go round
+again with r doubled, on the same grid.  A final row's candidates below the
+bound fill a dense table, one row per query padded with inf, and its k
+neighbours are picked in k passes of ``argmin``: each pass takes the least
+distance and, only where some row has ties at it, the least index among the
+tied candidates.  Queries go in chunks that bound the memory.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy as np
 
 __all__ = ["brute_force_knn", "knn_indices", "nn_distances"]
 
-# candidates plus block cells gathered at once; larger chunks were no faster
-# and raised the peak resident set
-_CHUNK = 1 << 12
+# entries per chunk: the runs of _TABLE // (runs per block) queries are found
+# at once, and _TABLE // (the most candidates of one of them) rows fill a table
+_TABLE = 1 << 15
 _NO_INDEX = np.iinfo(np.int64).max
 # rows of the oracle's distance matrix held at once: 6 MB of differences
 # at n = 2000, d = 3
@@ -101,28 +102,6 @@ def _grid_shape(ext: np.ndarray, cells: float) -> np.ndarray:
     return shape
 
 
-def _select(cand, dist, have, k, out_idx, out_dist, rows):
-    """Write the k least (distance, index) candidates of each row, in order.
-
-    The candidates come grouped by row, ``have`` (>= k) per row, and a row
-    holds each index at most once.  Each pass takes a row's least distance,
-    then the least index among the candidates at that distance, and sets
-    the chosen candidate's distance to inf.  ``dist`` is overwritten.
-    """
-    start = np.cumsum(have) - have
-    for j in range(k):
-        least = np.minimum.reduceat(dist, start)
-        tied = dist == np.repeat(least, have)
-        if np.count_nonzero(tied) > len(start):
-            # several candidates at some row's least distance
-            pick = np.minimum.reduceat(np.where(tied, cand, _NO_INDEX), start)
-            tied &= cand == np.repeat(pick, have)
-        chosen = np.flatnonzero(tied)
-        out_idx[rows, j] = cand[chosen]
-        out_dist[rows, j] = least
-        dist[chosen] = np.inf
-
-
 def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
     """k nearest other points of each point in ``rows``: (indices, distances),
     each row sorted by (distance, index)."""
@@ -140,57 +119,78 @@ def _knn(pts: np.ndarray, k: int, rows: np.ndarray):
         shape = _grid_shape(ext, n / (k + 1))
     width = np.where(shape > 1, ext / shape, np.inf)
     cell = np.clip(np.floor((pts - lo) / width), 0, shape - 1).astype(np.int64)
-    strides = np.cumprod(np.r_[shape[1:], 1][::-1])[::-1]
+    strides = np.cumprod(np.concatenate(([1], shape[:0:-1])))[::-1]
     cell_id = cell @ strides
     order = np.argsort(cell_id, kind="stable")
-    starts = np.r_[0, np.cumsum(np.bincount(cell_id, minlength=int(shape.prod())))]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cell_id, minlength=shape.prod()))))
+    spts = pts.take(order, axis=0)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     # slack for rounding in the cell assignment
     wmin = width.min() * (1.0 - 1e-9)
 
     out_idx = np.empty((len(rows), k), dtype=np.int64)
     out_dist = np.empty((len(rows), k))
-    todo = np.arange(len(rows))
-    r = 1
+    todo, r = np.arange(len(rows)), 1
     while todo.size:
         reach = np.minimum(r, shape - 1)
         bound = np.inf if (reach == shape - 1).all() else r * wmin
-        offsets = np.stack(np.meshgrid(*[np.arange(-a, a + 1) for a in reach],
-                                       indexing="ij"), axis=-1).reshape(-1, d)
-        nblock = len(offsets)
-        failed = []
-        step = max(1, _CHUNK // nblock)
-        for s in range(0, len(todo), step):
-            block = cell.take(rows[todo[s:s + step]], axis=0)[:, None, :] + offsets
-            inside = ((block >= 0) & (block < shape)).all(axis=2)
-            ids = np.where(inside, block @ strides, 0)
-            first = np.where(inside, starts[ids], 0)
-            count = np.where(inside, starts[ids + 1], 0) - first
-            cost = np.cumsum(count.sum(axis=1) + nblock)
-            cuts = np.searchsorted(cost, np.arange(_CHUNK, cost[-1], _CHUNK))
-            for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(cost)]):
-                if a == b:
-                    continue
-                mine = todo[s + a:s + b]
-                lens = count[a:b].ravel()
-                pos = (np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens, lens)
-                       + np.repeat(first[a:b].ravel(), lens))
-                cand = order[pos]
-                owner = np.repeat(np.arange(b - a), count[a:b].sum(axis=1))
-                query = rows[mine][owner]
-                # take gathers rows about 10 times faster than pts[cand]
-                diff = pts.take(cand, axis=0) - pts.take(query, axis=0)
+        # the block is one run of cells along the last axis per offset on the
+        # leading axes; the middle run, runs // 2, holds the query's own cell
+        side = 2 * reach[:-1] + 1
+        runs = side.prod()
+        lead = np.indices(side).reshape(d - 1, runs).T - reach[:-1]
+        redo = np.zeros(len(rows), dtype=bool)
+        batch = max(1, _TABLE // runs)
+        for t in range(0, len(todo), batch):
+            part = todo[t:t + batch]
+            c = cell.take(rows[part], axis=0)
+            block = c[:, None, :-1] + lead
+            inside = ((block >= 0) & (block < shape[:-1])).all(axis=2)
+            base = block @ strides[:-1]
+            first = starts[np.where(inside, base + np.maximum(c[:, -1:] - r, 0), 0)]
+            lens = starts[np.where(
+                inside, base + np.minimum(c[:, -1:] + r, shape[-1] - 1) + 1, 0)] - first
+            have = lens.sum(axis=1)
+            step = max(1, _TABLE // have.max())
+            for s in range(0, len(have), step):
+                mine, size = part[s:s + step], have[s:s + step]
+                head, count = first[s:s + step], lens[s:s + step]
+                # each run's offset in the flat candidate list, row after row
+                flat = (np.cumsum(count) - count.ravel()).reshape(count.shape)
+                pos = np.arange(size.sum()) + np.repeat((head - flat).ravel(), count.ravel())
+                query = rows[mine]
+                diff = spts.take(pos, axis=0)
+                diff -= pts.take(np.repeat(query, size), axis=0)
                 dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                # the query itself, in the run of its own cell
+                dist[flat[:, runs // 2] + rank[query] - head[:, runs // 2]] = np.inf
                 # a row is final once k candidates lie within the bound
-                keep = (cand != query) & (dist < bound)
-                cand, owner, dist = cand[keep], owner[keep], dist[keep]
-                have = np.bincount(owner, minlength=b - a)
-                ok = have >= k
+                keep = dist < bound
+                kept = np.add.reduceat(keep, np.cumsum(size) - size, dtype=np.int64)
+                ok = kept >= k
                 if not ok.all():
-                    live = ok[owner]
-                    cand, dist, have = cand[live], dist[live], have[ok]
-                _select(cand, dist, have, k, out_idx, out_dist, mine[ok])
-                failed.append(mine[~ok])
-        todo = np.concatenate(failed)
+                    redo[mine[~ok]] = True
+                    keep &= np.repeat(ok, size)
+                    mine, kept = mine[ok], kept[ok]
+                # the kept candidates, one row per query, padded with inf
+                mask = np.arange(kept.max(initial=k)) < kept[:, None]
+                table = np.full(mask.shape, np.inf)
+                table[mask] = dist.compress(keep)
+                cand = np.full(mask.shape, _NO_INDEX)
+                cand[mask] = order.take(pos.compress(keep))
+                at = np.arange(len(mine))
+                for j in range(k):
+                    col = table.argmin(axis=1)
+                    least = table[at, col]
+                    tied = table == least[:, None]
+                    if np.count_nonzero(tied) > len(at):
+                        # several candidates at some row's least distance
+                        col = np.where(tied, cand, _NO_INDEX).argmin(axis=1)
+                    out_idx[mine, j] = cand[at, col]
+                    out_dist[mine, j] = least
+                    table[at, col] = np.inf
+        todo = np.flatnonzero(redo)
         r *= 2
     return out_idx, out_dist
 

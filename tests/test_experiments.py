@@ -595,8 +595,10 @@ class TestPipeline:
     def test_fixed_n_excess_in_the_plane(self):
         # Poisson minus fixed-n scaled variance is delta_d^2, with delta_d =
         # omega_d^(-a/d) Gamma(1 + a/d) (1 - a/d) the mean add-one cost of
-        # the directed score: 1/16 on the unit square at a = 1, where the
-        # line's delta_1^2 is 0.  The Poisson side is the engine's matrix.
+        # the directed score.  On the unit square at a = 1, delta_2 =
+        # pi^(-1/2) Gamma(3/2) (1/2) = pi^(-1/2) (pi^(1/2) / 2) (1/2) = 1/4,
+        # so the excess is 1/16, where the line's delta_1^2 is 0.  The
+        # Poisson side is the engine's matrix.
         square = Region.from_bounds([((0.0, 0.0), (1.0, 1.0))])
         plan = ex.ExperimentPlan(
             density=DensitySpec(square, (1.0,)),

@@ -1,6 +1,7 @@
 """Accelerated neighbour search against the quadratic reference."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,9 +106,54 @@ class TestEquivalence:
         assert np.array_equal(nb.knn_indices(pts, 5), nb.brute_force_knn(pts, 5))
 
     def test_identical_points_across_chunks(self):
-        # 299 tied candidates per row put about 13 rows in each chunk
+        # 300 candidates per row put _TABLE // 300 = 109 rows in each chunk
         pts = np.full((300, 2), 0.25)
         assert np.array_equal(nb.knn_indices(pts, 5), nb.brute_force_knn(pts, 5))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_identical_points_stay_within_memory(self, d):
+        # every row has all n points as candidates; the table budget bounds
+        # the rows held at once
+        pts = np.full((2000, d), 0.25)
+        tracemalloc.start()
+        try:
+            got = nb.knn_indices(pts, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+        assert np.array_equal(got, nb.brute_force_knn(pts, 5))
+
+    def test_spread_points_stay_within_memory(self):
+        # 40 000 uniform 3-d points: 9 runs per block and thousands of rows;
+        # the runs of a chunk of rows are held at once, not those of all rows
+        pts = np.random.default_rng(4).uniform(size=(40_000, 3))
+        tracemalloc.start()
+        try:
+            got = nb.knn_indices(pts, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * pts.nbytes
+        for i in np.random.default_rng(5).choice(len(pts), 20, replace=False):
+            dist = nb._pair_dists(pts, pts[i])
+            dist[i] = np.inf
+            assert np.array_equal(got[i], np.lexsort((np.arange(len(pts)), dist))[:3])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("budget", [40, 100, 300])
+    def test_small_tables_across_chunk_edges(self, d, budget, monkeypatch):
+        # a budget of a few hundred entries splits every round into many
+        # chunks of runs and of tables, and the clusters send rows round again
+        monkeypatch.setattr(nb, "_TABLE", budget)
+        rng = np.random.default_rng(40 + d)
+        centers = rng.uniform(0, 10, size=(20, d))
+        pts = np.concatenate([c + 0.01 * rng.integers(0, 2, size=(6, d))
+                              for c in centers])
+        rows = np.flatnonzero(rng.uniform(size=len(pts)) < 0.5)
+        oracle = nb.brute_force_knn(pts, 8)
+        assert np.array_equal(nb.knn_indices(pts, 8), oracle)
+        assert np.array_equal(nb._knn(pts, 8, rows)[0], oracle[rows])
 
     def test_lattice_ties_break_by_index(self):
         # (1,0) and (0,1) tie at distance 1 from the origin
@@ -186,6 +232,34 @@ class TestNNDistances:
             out = nb.nn_distances(pts, subset=mask)
             assert np.array_equal(out[mask], expected[mask])
             assert np.all(np.isnan(out[~mask]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cloud", ["clusters", "outlier"])
+    def test_subset_rows_redone_after_first_pass(self, d, cloud):
+        # clusters of 6 with duplicates (test_rows_redone_after_first_pass)
+        # and a far outlier: rows of a subset whose neighbours lie beyond
+        # the first block go round again
+        rng = np.random.default_rng(30 + d)
+        if cloud == "clusters":
+            centers = rng.uniform(0, 10, size=(40, d))
+            pts = np.concatenate([c + 0.01 * rng.integers(0, 2, size=(6, d))
+                                  for c in centers])
+        else:
+            pts = np.vstack([rng.uniform(size=(1999, d)), np.full((1, d), 100.0)])
+        mask = rng.uniform(size=len(pts)) < 0.3
+        mask[-1] = True
+        rows = np.flatnonzero(mask)
+        for k in (1, 8):
+            oracle = nb.brute_force_knn(pts, k)[rows]
+            diff = pts[oracle] - pts[rows, None, :]
+            expected = np.sqrt(np.einsum("bij,bij->bi", diff, diff))
+            idx, dist = nb._knn(pts, k, rows)
+            assert np.array_equal(idx, oracle)
+            assert np.array_equal(dist, expected)
+        # the first of the 8 nearest is the nearest
+        out = nb.nn_distances(pts, subset=mask)
+        assert np.array_equal(out[mask], expected[:, 0])
+        assert np.all(np.isnan(out[~mask]))
 
     def test_subset_mask(self):
         rng = np.random.default_rng(1)

@@ -292,34 +292,44 @@ def _targets(plan: ExperimentPlan) -> list[tuple[float, float]] | None:
     limits are E[D^a] sum_b v_b J_b(1-a) and (v_a + delta_a^2) sum_b v_b^2
     J_b(1-2a), with J_b(p) the integral of kappa^p over box b.  Boxes of
     zero weight hold no points and are skipped (0^p is infinite for p < 0).
-    A limit beyond a double raises ValueError naming functional.alpha.
+    A constant or a power of kappa beyond a double raises ValueError naming
+    functional.alpha; a limit beyond one while both are finite names its
+    test function, test_functions[i].
     """
     if (plan.functional.family != DIRECTED_NN
             or plan.density.region.dimension != 1):
         return None
     alpha = plan.functional.alpha
-    pieces = [(w, box.lower[0], box.upper[0])
-              for w, box in zip(plan.density.weights, plan.density.region.boxes)
-              if w > 0.0]
-
-    def integral(f: TestFunctionSpec, power: int, p: float) -> float:
-        values = f.values or (1.0,) * len(f.region.boxes)
-        return sum(v ** power * w ** p
-                   * max(0.0, min(hi, box.upper[0]) - max(lo, box.lower[0]))
-                   for w, lo, hi in pieces
-                   for v, box in zip(values, f.region.boxes))
-
     try:
-        mean_coef = exp_moment(alpha)
-        var_coef = v_alpha(alpha) + delta_alpha_sq(alpha)
-        targets = [(mean_coef * integral(f, 1, 1.0 - alpha),
-                    var_coef * integral(f, 2, 1.0 - 2.0 * alpha))
-                   for f in plan.test_functions]
+        coefs = (exp_moment(alpha), v_alpha(alpha) + delta_alpha_sq(alpha))
+        # ((kappa^(1-a), kappa^(1-2a)), lower, upper) per box of positive weight
+        pieces = [((w ** (1.0 - alpha), w ** (1.0 - 2.0 * alpha)),
+                   box.lower[0], box.upper[0])
+                  for w, box in zip(plan.density.weights, plan.density.region.boxes)
+                  if w > 0.0]
     except (ValueError, OverflowError):  # a constant or a power of kappa
-        targets = [(np.inf, np.inf)]
-    if not np.isfinite(targets).all():
+        coefs = (np.inf, np.inf)
+    if not np.isfinite(coefs).all():
         raise ValueError(f"functional.alpha={alpha:g}: the closed-form targets "
                          f"overflow a double")
+
+    def integral(f: TestFunctionSpec, power: int) -> float:
+        values = f.values or (1.0,) * len(f.region.boxes)
+        return sum(v ** power * kappa_powers[power - 1]
+                   * max(0.0, min(hi, box.upper[0]) - max(lo, box.lower[0]))
+                   for kappa_powers, lo, hi in pieces
+                   for v, box in zip(values, f.region.boxes))
+
+    targets = []
+    for i, f in enumerate(plan.test_functions):
+        try:
+            target = (coefs[0] * integral(f, 1), coefs[1] * integral(f, 2))
+        except OverflowError:  # a value squared
+            target = (np.inf, np.inf)
+        if not np.isfinite(target).all():
+            raise ValueError(f"test_functions[{i}]: the closed-form targets "
+                             f"overflow a double")
+        targets.append(target)
     return targets
 
 

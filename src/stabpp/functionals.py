@@ -77,7 +77,8 @@ class FunctionalSpec:
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Bounded piecewise-constant test function supported on one region."""
+    """Bounded piecewise-constant test function supported on one region: a
+    piecewise one takes one finite value per box."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -93,6 +94,9 @@ class TestFunctionSpec:
                 raise ValueError("piecewise test function needs one value per box")
             object.__setattr__(self, "values",
                                tuple(float(v) for v in self.values))
+            if not np.isfinite(self.values).all():
+                raise ValueError(f"piecewise values must be finite, got "
+                                 f"{list(self.values)}")
         elif self.values is not None:
             raise ValueError("an indicator test function takes no values")
 

@@ -204,11 +204,10 @@ def knn_indices(points: np.ndarray, k: int) -> np.ndarray:
     return _knn(pts, k, np.arange(n))[0]
 
 
-def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.ndarray:
-    """Distance from each point to its nearest other point.
-
-    With ``subset`` (a boolean mask) only those rows are filled; the rest are
-    NaN.  Neighbours are always searched in the full configuration.
+def nn_distances(points: np.ndarray, subset: np.ndarray) -> np.ndarray:
+    """Distance from each row of the boolean mask ``subset`` to its nearest
+    other point; the other rows are NaN.  Neighbours are always searched in
+    the full configuration.
 
     A one-row subset is one pass of the oracle's formula, no sort or grid, so
     its distance is the oracle's; it refuses the points only if a distance it
@@ -222,7 +221,7 @@ def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.nda
     n, d = pts.shape
     if n < 2:
         raise ValueError("need at least 2 points")
-    if subset is not None and np.count_nonzero(subset) == 1:
+    if np.count_nonzero(subset) == 1:
         i = int(subset.argmax())
         dist = _pair_dists(pts, pts[i])
         if not np.isfinite(dist).all():
@@ -241,10 +240,9 @@ def nn_distances(points: np.ndarray, subset: np.ndarray | None = None) -> np.nda
         np.minimum(gaps[:-1], gaps[1:], out=nn_sorted[1:-1])
         out = np.empty(n)
         out[order] = nn_sorted
-        if subset is not None:
-            out[np.logical_not(subset)] = np.nan
+        out[np.logical_not(subset)] = np.nan
         return out
-    rows = np.nonzero(subset)[0] if subset is not None else np.arange(n)
+    rows = np.nonzero(subset)[0]
     out = np.full(n, np.nan)
     out[rows] = _knn(pts, 1, rows)[1][:, 0]
     return out

@@ -40,6 +40,20 @@ def base_config(**overrides):
     return cfg
 
 
+def knn_halves_config(dim, **overrides):
+    """A kNN plan (k = 3) on the unit cube of ``dim`` axes, with the two
+    halves along the first axis as its regions."""
+    halves = [[{"lower": [lo] + [0.0] * (dim - 1),
+                "upper": [lo + 0.5] + [1.0] * (dim - 1)}] for lo in (0.0, 0.5)]
+    return base_config(**{
+        "dimension": dim,
+        "density": {"boxes": [{"lower": [0.0] * dim, "upper": [1.0] * dim}],
+                    "homogeneous": True},
+        "regions": halves,
+        "functional": {"family": "knn_undirected", "k": 3, "alpha": 1.0},
+        **overrides})
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -139,6 +153,23 @@ class TestSimulateCommand:
             assert proc.returncode == 0, proc.stderr
             payloads.add(proc.stdout)
         assert len(payloads) == 1
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 CPUs")
+    @pytest.mark.parametrize("cfg", [
+        base_config(lambda_grid=[50.0, 100.0], replicates=20, seed=1),
+        knn_halves_config(2, lambda_grid=[50.0, 100.0], replicates=8, seed=1),
+        knn_halves_config(3, lambda_grid=[50.0, 100.0], replicates=8, seed=1),
+    ], ids=["directed_line", "knn_plane", "knn_space"])
+    def test_pool_payload_equals_serial(self, tmp_path, cfg):
+        path = write_config(tmp_path, cfg)
+        payloads = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert cli.main(["simulate", "--config", path, "--workers", workers,
+                             "--out", str(out)]) == 0
+            payload = json.loads((out / "report.json").read_text())["payload"]
+            payloads.append(json.dumps(payload, sort_keys=True))
+        assert payloads[0] == payloads[1]
 
     def test_missing_density_names_key(self, tmp_path, capsys):
         cfg = base_config()
@@ -437,6 +468,17 @@ class TestBadValues:
          "density.weights"),
         ({"test_functions": [{"kind": "piecewise", "values": ["x"]}]},
          "test_functions[0].values[0]"),
+        # JSON's Infinity and NaN read as floats; the kNN plan has no
+        # targets, so only the test function's own rule stops a draw
+        ({"test_functions": [{"kind": "piecewise", "values": [math.inf]}]},
+         "test_functions[0]: piecewise values must be finite"),
+        ({"functional": {"family": "knn_undirected", "k": 1, "alpha": 1.0},
+          "test_functions": [{"kind": "piecewise", "values": [math.nan]}]},
+         "test_functions[0]: piecewise values must be finite"),
+        # 1e308 squared is beyond a double at a finite constant
+        ({"test_functions": [{"kind": "piecewise", "values": [1e308]}]},
+         "config error: test_functions[0]: the closed-form targets overflow "
+         "a double\n"),
         ({"seed": 4.5}, "seed"),
         ({"functional": {"family": "nn_directed", "k": "two"}}, "functional.k"),
         ({"functional": {"family": "nn_directed", "alpha": -1.0}},
@@ -496,6 +538,7 @@ class TestBadValues:
          "to 1, got 2.0\n"),
     ], ids=["bound_not_number", "lower_not_below_upper", "scalar_lower",
             "weight_not_number", "negative_weight", "value_not_number",
+            "value_infinite", "value_nan", "value_overflows_targets",
             "seed_not_integer", "k_not_integer", "alpha_not_positive",
             "config_not_object", "lambda_grid_decreasing", "one_replicate",
             "regions_overlap", "lambda_negative", "lambda_zero", "lambda_nan",
@@ -846,14 +889,16 @@ class TestFitPayloads:
         slope, intercept, r2 = _inline_fit(np.log(lams), np.log(ds))
         assert (fit["slope"], fit["intercept"], fit["r_squared"]) == (slope, intercept, r2)
 
-    @pytest.mark.parametrize("functional, probe", [
-        ({"family": "nn_directed", "alpha": 1.0},
+    @pytest.mark.parametrize("dim, functional, probe", [
+        (1, {"family": "nn_directed", "alpha": 1.0},
          {"count": 60, "resamples": 3, "lambda": 200.0}),
-        ({"family": "knn_undirected", "k": 2, "alpha": 1.0},
+        (2, {"family": "knn_undirected", "k": 2, "alpha": 1.0},
          {"count": 12, "resamples": 2, "lambda": 80.0}),
-    ])
-    def test_probe_fit_floats(self, tmp_path, capsys, functional, probe):
-        dim = 1 if functional["family"] == "nn_directed" else 2
+        # the directed probe in the plane scores by nn_distances' one-row pass
+        (2, {"family": "nn_directed", "alpha": 1.0},
+         {"count": 20, "resamples": 2, "lambda": 50.0}),
+    ], ids=["functional0-probe0", "functional1-probe1", "directed_plane"])
+    def test_probe_fit_floats(self, tmp_path, capsys, dim, functional, probe):
         cfg = write_config(tmp_path, {
             "dimension": dim,
             "density": {"boxes": [{"lower": [0.0] * dim, "upper": [1.0] * dim}],
@@ -909,14 +954,8 @@ class TestImportBudget:
         process pool's ``multiprocessing``."""
         plan_1d = write_config(tmp_path, base_config(
             lambda_grid=[50.0, 100.0], replicates=12), "d1.json")
-        plan_2d = write_config(tmp_path, {
-            "dimension": 2,
-            "density": {"boxes": [{"lower": [0.0, 0.0], "upper": [1.0, 1.0]}],
-                        "homogeneous": True},
-            "regions": [[{"lower": [0.0, 0.0], "upper": [0.5, 1.0]}],
-                        [{"lower": [0.5, 0.0], "upper": [1.0, 1.0]}]],
-            "functional": {"family": "knn_undirected", "k": 3, "alpha": 1.0},
-            "lambda_grid": [60.0, 120.0], "replicates": 6, "seed": 5}, "d2.json")
+        plan_2d = write_config(tmp_path, knn_halves_config(
+            2, lambda_grid=[60.0, 120.0], replicates=6, seed=5), "d2.json")
         probe = write_config(tmp_path, base_config(
             probe={"count": 20, "resamples": 2, "lambda": 60.0}), "probe.json")
         argvs = [["constants", "--alpha", "1", "2"],

@@ -583,8 +583,9 @@ class TestPipeline:
         # variance is n^(2 alpha - 1) Var[sum of gaps^alpha]
         n = 50
         unit = DensitySpec(Region.interval(0.0, 1.0), (1.0,))
+        rows = np.ones(n, bool)
         sums = [np.sum(nn_distances(sample_binomial(
-                    unit, n, 3, stream=(1 << 36) + r).points) ** alpha)
+                    unit, n, 3, stream=(1 << 36) + r).points, rows) ** alpha)
                 for r in range(30)]
         _, _, (var,), (se,) = ex.estimate_moments(matrix(sums))
         (scaled_var,), (se_scaled_var,) = ex.binomial_scaled_variances(

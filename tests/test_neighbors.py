@@ -214,7 +214,8 @@ class TestNNDistances:
         nn = nb.brute_force_knn(pts, 1)[:, 0]
         diff = pts - pts[nn]
         expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        assert np.array_equal(nb.nn_distances(pts), expected)
+        assert np.array_equal(nb.nn_distances(pts, np.ones(len(pts), bool)),
+                              expected)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_subset_matches_brute_force(self, d):
@@ -267,7 +268,7 @@ class TestNNDistances:
         mask = np.zeros(50, dtype=bool)
         mask[::5] = True
         out = nb.nn_distances(pts, subset=mask)
-        full = nb.nn_distances(pts)
+        full = nb.nn_distances(pts, np.ones(50, bool))
         assert np.allclose(out[mask], full[mask])
         assert np.all(np.isnan(out[~mask]))
 
@@ -291,4 +292,5 @@ class TestNNDistances:
         nn = nb.brute_force_knn(pts, 1)[:, 0]
         diff = pts - pts[nn]
         expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        assert np.array_equal(nb.nn_distances(pts), expected)
+        assert np.array_equal(nb.nn_distances(pts, np.ones(len(pts), bool)),
+                              expected)

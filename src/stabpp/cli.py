@@ -164,8 +164,14 @@ def _parse_test_function(obj: dict, region: Region, where: str) -> TestFunctionS
     values = obj.get("values")
     if values is not None:
         values = _parse_numbers(values, f"{where}.values")
-    return _build(TestFunctionSpec, where, region=region, kind=obj["kind"],
-                  values=values)
+    kind = obj["kind"]  # syntax only: the values alone define the function
+    if kind not in ("indicator", "piecewise"):
+        raise ConfigError(f"{where}: unknown test-function kind {kind!r}")
+    if kind == "piecewise" and values is None:
+        raise ConfigError(f"{where}: piecewise test function needs one value per box")
+    if kind == "indicator" and values is not None:
+        raise ConfigError(f"{where}: an indicator test function takes no values")
+    return _build(TestFunctionSpec, where, region=region, values=values)
 
 
 _TOP_KEYS_REQUIRED = ("dimension", "density", "regions", "functional",
@@ -288,10 +294,11 @@ def _setting(flag, name: str, cast, default):
 def _write_report(out_dir: str, payload: dict, meta: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
+    # serialized before the file opens, so a non-finite number leaves no file
+    text = json.dumps({"meta": meta, "payload": payload}, sort_keys=True,
+                      indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"meta": meta, "payload": payload}, fh,
-                  sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
@@ -350,7 +357,7 @@ def _cmd_constants(args) -> int:
         except ValueError as err:
             raise ConfigError(f"--alpha: {err}") from err
     if args.json:
-        print(json.dumps(rows, sort_keys=True))
+        print(json.dumps(rows, sort_keys=True, allow_nan=False))
         return EXIT_OK
     header = f'{"alpha":>8} {"V_alpha":>22} {"delta_alpha":>22} {"delta_alpha^2":>22} {"mean_coeff":>22}'
     print(header)
@@ -386,7 +393,7 @@ def _cmd_sample(args) -> int:
         cfg = sample_poisson(density, lam, seed, stream=0)
     if args.json:
         print(json.dumps({"seed": seed, "lambda": lam, "count": len(cfg),
-                          "points": cfg.points.tolist()}))
+                          "points": cfg.points.tolist()}, allow_nan=False))
         return EXIT_OK
     out_dir = _setting(args.out, "OUT", str, ".")
     os.makedirs(out_dir, exist_ok=True)
@@ -428,7 +435,7 @@ def _cmd_simulate(args) -> int:
     path = _write_report(out_dir, payload, meta)
     _write_tables(out_dir, payload)
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         print(f"wrote {path}")
     if args.check:
@@ -462,7 +469,7 @@ def _cmd_stab_probe(args) -> int:
             fh.write(f"{_fmt(row['t'])},{_fmt(row['tail_prob'])},"
                      f"{payload['censored_count']}\n")
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
     else:
         print(f"wrote {path} (decay slope {payload['decay_slope']:.4f}, "
               f"R^2 {payload['r_squared']:.4f})")
@@ -509,7 +516,7 @@ def _cmd_rate(args) -> int:
     if fit is None:
         raise RuntimeError(f"{note}; cannot refit")
     if args.json:
-        print(json.dumps(fit, sort_keys=True))
+        print(json.dumps(fit, sort_keys=True, allow_nan=False))
     else:
         print(f"slope {fit['slope']:.4f}  intercept {fit['intercept']:.4f}  "
               f"R^2 {fit['r_squared']:.4f}  (lambdas {fit['lambdas_used']})")

@@ -122,27 +122,37 @@ class ExperimentPlan:
             raise ValueError("lambda_grid must be strictly increasing")
         point_process.check_count(grid[-1] * self.density.total_mass,
                                   f"lambda_grid value {grid[-1]:g}")
-        if np.isnan(self.t_grid).any():
-            raise ValueError("t_grid values must not be NaN")
+        # at an infinite threshold both CDFs read 0 or 1: it adds nothing
+        if not np.isfinite(self.t_grid).all():
+            raise ValueError("t_grid values must be finite")
         _check_grid(len(regions), len(self.t_grid), "t_grid")
-        # a region that no positive-weight box meets holds no point, and its
-        # zero statistic cannot be standardized
+        # a test function that is 0 wherever points fall is 0 in every
+        # replicate, and its statistic cannot be standardized
         live = Region(d, tuple(b for w, b in zip(self.density.weights,
                                                  self.density.region.boxes) if w > 0.0))
-        for i, region in enumerate(regions):
-            if region.disjoint_from(live):
+        for i, f in enumerate(self.test_functions):
+            meets = [not live.disjoint_from(Region(d, (box,)))
+                     for box in f.region.boxes]
+            if not any(meets):
                 raise ValueError(f"regions[{i}] overlaps no density box of "
                                  f"positive weight")
+            if not any(v != 0.0 for v, m in zip(f.values, meets) if m):
+                raise ValueError(f"test_functions[{i}] is 0 on every box that "
+                                 f"meets a density box of positive weight")
         _targets(self)  # limits beyond a double refuse the plan before any draw
 
 
 def _one_replicate(plan: ExperimentPlan, lam: float, r: int,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     spec = plan.functional
-    draws = (sample_poisson(plan.density, lam, plan.seed, stream=stream, rng=rng)
-             for stream in replicate_streams(r))
-    config = first_with(spec.min_points, draws,
-                        f"replicate {r} at lambda={lam} ({spec.family})")
+    if n is None:
+        draws = (sample_poisson(plan.density, lam, plan.seed, stream=stream, rng=rng)
+                 for stream in replicate_streams(r))
+        config = first_with(spec.min_points, draws,
+                            f"replicate {r} at lambda={lam} ({spec.family})")
+    else:  # n >= k+1 fixed points: never short
+        config = sample_binomial(plan.density, n, plan.seed,
+                                 stream=BINOMIAL_STREAM_BASE + r, rng=rng)
     return t_vector(config, plan.test_functions, spec, lam)
 
 
@@ -153,15 +163,15 @@ def _replicate_chunk(args) -> np.ndarray:
     stream; it is built through ``point_process.generator``, the one name
     that constructs generators.
     """
-    plan, lam, indices = args
+    plan, lam, n, indices = args
     rng = point_process.generator(plan.seed, 0)
-    return np.array([_one_replicate(plan, lam, int(r), rng) for r in indices])
+    return np.array([_one_replicate(plan, lam, int(r), rng, n) for r in indices])
 
 
 def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
-                   workers: int = 1) -> np.ndarray:
+                   workers: int = 1, n: int | None = None) -> np.ndarray:
     """The (replicates x regions) statistic matrix at one intensity, in
-    replicate order.
+    replicate order: of Poisson draws, or of n fixed points when n is given.
 
     The replicates go in 4 * workers contiguous blocks, to the process pool
     when one is given and one after another otherwise.  The matrix does not
@@ -170,7 +180,7 @@ def run_replicates(plan: ExperimentPlan, lam: float, pool=None,
     chunks = [c for c in np.array_split(np.arange(plan.replicates), 4 * workers)
               if len(c)]
     data = np.concatenate(list((map if pool is None else pool.map)(
-        _replicate_chunk, [(plan, lam, c) for c in chunks])))
+        _replicate_chunk, [(plan, lam, n, c) for c in chunks])))
     if not np.isfinite(data).all():
         raise ValueError(f"non-finite statistic at lambda={lam}")
     return data
@@ -314,11 +324,10 @@ def _targets(plan: ExperimentPlan) -> list[tuple[float, float]] | None:
                          f"overflow a double")
 
     def integral(f: TestFunctionSpec, power: int) -> float:
-        values = f.values or (1.0,) * len(f.region.boxes)
         return sum(v ** power * kappa_powers[power - 1]
                    * max(0.0, min(hi, box.upper[0]) - max(lo, box.lower[0]))
                    for kappa_powers, lo, hi in pieces
-                   for v, box in zip(values, f.region.boxes))
+                   for v, box in zip(f.values, f.region.boxes))
 
     targets = []
     for i, f in enumerate(plan.test_functions):
@@ -431,10 +440,10 @@ def binomial_scaled_variances(plan: ExperimentPlan, lam: float
                               ) -> tuple[np.ndarray, np.ndarray]:
     """The fixed-n "scaled_var" and "se_scaled_var" at lam, per test function.
 
-    Replicate r scores, with ``t_vector``, n = round(lam * total mass) points
-    of the plan's density from stream BINOMIAL_STREAM_BASE + r; an n outside
-    [k+1, MAX_COUNT) raises ValueError first.  On [0, 1] at unit density the
-    directed limit is v_alpha, and Poisson input adds delta_alpha^2.
+    The engine's replicates of n = round(lam * total mass) fixed points
+    (``run_replicates`` with n); an n outside [k+1, MAX_COUNT) raises
+    ValueError first.  On [0, 1] at unit density the directed limit is
+    v_alpha, and Poisson input adds delta_alpha^2.
     """
     spec = plan.functional
     n = round(point_process.check_count(lam * plan.density.total_mass,
@@ -442,11 +451,5 @@ def binomial_scaled_variances(plan: ExperimentPlan, lam: float
     if n < spec.min_points:
         raise ValueError(f"n={n} points at lambda={lam}: the {spec.family} "
                          f"score needs at least {spec.min_points}")
-    rng = point_process.generator(plan.seed, 0)  # re-keyed for every draw
-    data = np.array([
-        t_vector(sample_binomial(plan.density, n, plan.seed,
-                                 stream=BINOMIAL_STREAM_BASE + r, rng=rng),
-                 plan.test_functions, spec, lam)
-        for r in range(plan.replicates)])
-    _, _, var, se_var = estimate_moments(data)
+    _, _, var, se_var = estimate_moments(run_replicates(plan, lam, n=n))
     return var / lam, se_var / lam

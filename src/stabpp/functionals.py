@@ -77,28 +77,23 @@ class FunctionalSpec:
 
 @dataclass(frozen=True)
 class TestFunctionSpec:
-    """Bounded piecewise-constant test function supported on one region: a
-    piecewise one takes one finite value per box."""
+    """Bounded piecewise-constant test function supported on one region: one
+    finite value per box, 1 on every box when none are given (the region's
+    indicator)."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     region: Region
-    kind: str = "indicator"  # "indicator" | "piecewise"
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("indicator", "piecewise"):
-            raise ValueError(f"unknown test-function kind {self.kind!r}")
-        if self.kind == "piecewise":
-            if self.values is None or len(self.values) != len(self.region.boxes):
-                raise ValueError("piecewise test function needs one value per box")
-            object.__setattr__(self, "values",
-                               tuple(float(v) for v in self.values))
-            if not np.isfinite(self.values).all():
-                raise ValueError(f"piecewise values must be finite, got "
-                                 f"{list(self.values)}")
-        elif self.values is not None:
-            raise ValueError("an indicator test function takes no values")
+        n = len(self.region.boxes)
+        values = tuple(map(float, (1.0,) * n if self.values is None else self.values))
+        if len(values) != n:
+            raise ValueError("piecewise test function needs one value per box")
+        if not np.isfinite(values).all():
+            raise ValueError(f"piecewise values must be finite, got {list(values)}")
+        object.__setattr__(self, "values", values)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +113,10 @@ def _incident_half_weights(points: np.ndarray, nbr: np.ndarray,
     eu, ev = edges // n, edges % n
     w = np.sqrt(np.sum((points.take(eu, axis=0) - points.take(ev, axis=0)) ** 2,
                        axis=1)) ** alpha
-    xi = np.zeros(n)
-    np.add.at(xi, eu, 0.5 * w)
-    np.add.at(xi, ev, 0.5 * w)
-    return xi
+    half = 0.5 * w
+    # every eu half, then every ev half, each added in turn to its point
+    return np.bincount(np.concatenate([eu, ev]),
+                       weights=np.concatenate([half, half]), minlength=n)
 
 
 def _scores(dilated: np.ndarray, spec: FunctionalSpec,
@@ -161,9 +156,9 @@ def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec,
     scores = _scores(pts * lam ** (1.0 / config.dimension), spec, union)
     for i, (f, mask) in enumerate(zip(fs, masks)):
         if mask.any():
-            if f.kind == "indicator":
-                # an indicator is 1 on its region: no second membership test
-                weights = np.ones(np.count_nonzero(mask))
+            if min(f.values) == max(f.values):
+                # constant on its region: no second membership test
+                weights = np.full(np.count_nonzero(mask), f.values[0])
             else:
                 inside = pts[mask]
                 weights = np.zeros(len(inside))

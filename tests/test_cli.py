@@ -491,6 +491,9 @@ class TestBadValues:
         ({"lambda_grid": [0.0]}, "lambda_grid"),
         ({"lambda_grid": [math.nan]}, "lambda_grid"),
         ({"t_grid": [0.0, math.nan]}, "t_grid"),
+        # both CDFs read 0 or 1 at an infinite threshold, and strict JSON
+        # has no Infinity to write it with
+        ({"t_grid": [math.inf]}, "t_grid values must be finite"),
         ({"density": {"boxes": [_box([0.0], [1.0])], "weights": [math.inf]}},
          "density"),
         ({"density": {"boxes": [_box([0.0], [math.inf])], "weights": [1.0]}},
@@ -507,6 +510,15 @@ class TestBadValues:
                       "weights": [1.0, 0.0]},
           "regions": [[_box([0.0], [1.0])], [_box([1.0], [2.0])]]},
          "regions[1]"),
+        # the second function is nonzero only where no point falls
+        ({"density": {"boxes": [_box([0.0], [1.0]), _box([1.0], [2.0])],
+                      "weights": [1.0, 0.0]},
+          "regions": [[_box([0.0], [0.5])],
+                      [_box([0.5], [0.6]), _box([1.0], [1.5])]],
+          "test_functions": [{"kind": "indicator"},
+                             {"kind": "piecewise", "values": [0.0, 5.0]}]},
+         "config error: test_functions[1] is 0 on every box that meets a "
+         "density box of positive weight\n"),
         # a string or a bool is not a number
         ({"replicates": "20"}, "replicates"),
         ({"functional": {"family": "nn_directed", "alpha": "1.0"}},
@@ -542,9 +554,10 @@ class TestBadValues:
             "seed_not_integer", "k_not_integer", "alpha_not_positive",
             "config_not_object", "lambda_grid_decreasing", "one_replicate",
             "regions_overlap", "lambda_negative", "lambda_zero", "lambda_nan",
-            "t_grid_nan", "weight_infinite", "bound_infinite",
+            "t_grid_nan", "t_grid_infinite", "weight_infinite", "bound_infinite",
             "homogeneous_infinite", "grid_over_budget", "region_outside_density",
-            "region_on_zero_weight", "replicates_string", "alpha_string",
+            "region_on_zero_weight", "test_function_zero_where_points_fall",
+            "replicates_string", "alpha_string",
             "lambda_string", "alpha_bool", "family_unknown", "kind_unknown",
             "piecewise_without_values", "box_of_other_dimension",
             "bounds_of_unequal_length", "region_without_boxes",
@@ -863,6 +876,41 @@ class TestRateCommand:
         captured = capsys.readouterr()
         assert json.loads(captured.out) == payload["rate_fit"]
         assert captured.err == warning + "\n"
+
+
+def _strict_loads(text):
+    """``json.loads`` refusing NaN and Infinity, as strict JSON readers do."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_every_json_output_is_strict(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(
+            lambda_grid=[60.0, 120.0], replicates=20,
+            probe={"count": 10, "resamples": 2, "lambda": 60.0}))
+        report = tmp_path / "synthetic.json"
+        report.write_text(json.dumps({"payload": {
+            "replicates": 10_000,
+            "per_lambda": [{"lambda": lam, "joint_discrepancy": d}
+                           for lam, d in ((100.0, 0.08), (400.0, 0.05),
+                                          (1600.0, 0.025))]}}))
+        for argv, out in ((["constants", "--alpha", "1", "2.5"], None),
+                          (["sample", "--config", cfg], None),
+                          (["simulate", "--config", cfg], tmp_path / "sim"),
+                          (["stab-probe", "--config", cfg], tmp_path / "probe"),
+                          (["rate", "--report", str(report)], None)):
+            extra = [] if out is None else ["--out", str(out)]
+            assert cli.main(argv + extra + ["--json"]) == 0, argv
+            _strict_loads(capsys.readouterr().out)
+            if out is not None:
+                _strict_loads((out / "report.json").read_text())
+
+    def test_non_finite_report_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_report(str(tmp_path), {"x": math.inf}, {})
+        assert not (tmp_path / "report.json").exists()
 
 
 def _inline_fit(x, y):

@@ -300,19 +300,43 @@ class TestRunReplicates:
             parallel = ex.run_replicates(plan, 40.0, pool=pool, workers=2)
         assert np.array_equal(serial, parallel)
 
-    def test_zero_test_function_gives_zero_vectors(self):
-        region = Region.interval(0.0, 1.0)
-        plan = ex.ExperimentPlan(
-            density=DensitySpec.homogeneous(region),
-            test_functions=(TestFunctionSpec(region=region, kind="piecewise",
-                                             values=(0.0,)),),
-            functional=FunctionalSpec(family=DIRECTED_NN, alpha=1.0),
-            lambda_grid=(30.0,),
-            replicates=5,
-            seed=0,
-        )
-        for vec in ex.run_replicates(plan, 30.0):
-            assert vec.tolist() == [0.0]
+    def test_zero_test_function_is_refused(self):
+        # a statistic that is 0 in every replicate has zero sample variance:
+        # the plan refuses it, so no zero row is ever drawn
+        boxes = Region.from_bounds([((0.0,), (1.0,)), ((1.0,), (2.0,))])
+        indicator = TestFunctionSpec(region=Region.interval(0.0, 0.5))
+        split = Region.from_bounds([((0.5,), (0.6,)), ((1.0,), (1.5,))])
+        for weights, values in (((1.0, 0.0), (0.0, 5.0)),  # 5 where no point falls
+                                ((1.0, 1.0), (0.0, 0.0))):
+            fields = dict(density=DensitySpec(boxes, weights),
+                          functional=FunctionalSpec(family=DIRECTED_NN, alpha=1.0),
+                          lambda_grid=(30.0,), replicates=5, seed=0)
+            with pytest.raises(ValueError, match=re.escape(
+                    "test_functions[1] is 0 on every box that meets a density "
+                    "box of positive weight")):
+                ex.ExperimentPlan(test_functions=(
+                    indicator, TestFunctionSpec(split, values)), **fields)
+            # a nonzero value on one box of positive weight suffices
+            ex.ExperimentPlan(test_functions=(
+                indicator, TestFunctionSpec(split, (1.0, values[1]))), **fields)
+
+    def test_fixed_n_runs_through_the_engine(self):
+        # the fixed-n rows are the engine's: any worker count gives the
+        # same matrix, and a non-finite statistic is refused
+        plan = small_plan(replicates=24)
+        serial = ex.run_replicates(plan, 40.0, n=40)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            parallel = ex.run_replicates(plan, 40.0, pool=pool, workers=2, n=40)
+        assert np.array_equal(serial, parallel)
+        region = Region.interval(0.0, 1000.0)
+        huge = dataclasses.replace(
+            plan, density=DensitySpec(region=region, weights=(0.01,)),
+            test_functions=(TestFunctionSpec(region=region),),
+            functional=FunctionalSpec(family=KNN_UNDIRECTED, alpha=200.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite statistic at lambda=1.0"):
+                ex.binomial_scaled_variances(huge, 1.0)
 
     def test_retry_exhaustion_aborts_with_diagnostic(self):
         # a 5-NN functional at mean 2 points per draw cannot be evaluated:
@@ -433,6 +457,9 @@ class TestRunReplicates:
                 replicates=5,
                 seed=0,
             )
+        for t in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="t_grid values must be finite"):
+                dataclasses.replace(small_plan(), t_grid=(0.0, t))
         for name in ("test_functions", "lambda_grid", "t_grid"):
             fields = dict(density=DensitySpec.homogeneous(region),
                           test_functions=(TestFunctionSpec(region=region),),

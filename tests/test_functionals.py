@@ -124,6 +124,32 @@ class TestHalfSumIdentity:
                 np.sqrt(((pts[a] - pts[b]) ** 2).sum()) ** alpha for a, b in edges)
             assert total == pytest.approx(edge_total, rel=1e-12)
 
+    def test_half_weights_equal_two_add_at_passes(self):
+        # one bincount over both endpoint lists adds each point's halves in
+        # the order of np.add.at over eu then ev, so the doubles are equal;
+        # rounded coordinates give ties and points shared by many edges
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3):
+            for _ in range(20):
+                n = int(rng.integers(5, 60))
+                k = int(rng.integers(1, 5))
+                pts = rng.uniform(size=(n, d))
+                if rng.integers(2):
+                    pts = np.round(pts * 4.0) / 4.0  # ties and duplicate points
+                nbr = knn_indices(pts, k)
+                alpha = float(rng.uniform(0.5, 2.5))
+                src = np.repeat(np.arange(n), k)
+                edges = sorted({(min(a, b), max(a, b))
+                                for a, b in zip(src, nbr.ravel().tolist())})
+                eu, ev = np.array(edges).T
+                w = np.sqrt(np.sum((pts[eu] - pts[ev]) ** 2, axis=1)) ** alpha
+                want = np.zeros(n)
+                np.add.at(want, eu, 0.5 * w)
+                np.add.at(want, ev, 0.5 * w)
+                assert np.bincount(np.r_[eu, ev]).max() > 1  # a shared endpoint
+                got = fn._incident_half_weights(pts, nbr, alpha)
+                assert got.tobytes() == want.tobytes()
+
 
 class TestScaledStatistics:
     def test_t_statistic_unscaled(self):
@@ -137,8 +163,7 @@ class TestScaledStatistics:
         assert fn.t_vector(THREE, [f], spec, 4.0)[0] == pytest.approx(16.0)
 
     def test_zero_test_function(self):
-        f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0),
-                                kind="piecewise", values=(0.0,))
+        f = fn.TestFunctionSpec(region=Region.interval(-1.0, 4.0), values=(0.0,))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
         assert fn.t_vector(THREE, [f], spec, 4.0)[0] == 0.0
 
@@ -196,12 +221,29 @@ class TestScaledStatistics:
         config = PointConfiguration(dimension=2, points=rng.uniform(size=(300, 2)))
         fs = [fn.TestFunctionSpec(region=Region.from_bounds([((0.0, 0.0), (0.5, 1.0))])),
               fn.TestFunctionSpec(region=Region.from_bounds([((0.5, 0.0), (1.0, 1.0))]),
-                                  kind="piecewise", values=(-2.0,)),
+                                  values=(-2.0,)),
               fn.TestFunctionSpec(region=Region.from_bounds([((5.0, 5.0), (6.0, 6.0))]))]
         spec = fn.FunctionalSpec(family=family, k=k, alpha=1.5)
         expected = [fn.t_vector(config, [f], spec, 300.0)[0] for f in fs]
         assert fn.t_vector(config, fs, spec, 300.0).tolist() == expected
         assert expected[0] > 0.0 and expected[1] < 0.0 and expected[2] == 0.0
+
+    def test_constant_values_scale_the_indicator(self):
+        # equal values skip the per-box membership test: 2 on both boxes is
+        # exactly twice the indicator, unequal values weigh each box
+        rng = np.random.default_rng(3)
+        config = PointConfiguration(dimension=1, points=rng.uniform(0, 3, (80, 1)))
+        boxes = Region.from_bounds([((0.0,), (1.0,)), ((2.0,), (3.0,))])
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.5)
+
+        def t(region, values=None):
+            return fn.t_vector(config, [fn.TestFunctionSpec(region, values)],
+                               spec, 50.0)[0]
+
+        assert t(boxes, (2.0, 2.0)) == 2.0 * t(boxes)
+        left, right = (Region(1, (b,)) for b in boxes.boxes)
+        assert t(boxes, (2.0, -1.0)) == pytest.approx(2.0 * t(left) - t(right),
+                                                      rel=1e-12)
 
     def test_t_vector_empty_config_is_zero(self):
         empty = PointConfiguration(dimension=1, points=np.empty((0, 1)))
@@ -333,9 +375,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             fn.FunctionalSpec(family="voronoi")
 
-    def test_piecewise_needs_values(self):
-        with pytest.raises(ValueError):
-            fn.TestFunctionSpec(region=Region.interval(0, 1), kind="piecewise")
+    def test_values_need_one_per_box(self):
+        for values in ((), (1.0, 2.0)):
+            with pytest.raises(ValueError, match="one value per box"):
+                fn.TestFunctionSpec(region=Region.interval(0, 1), values=values)
+
+    def test_values_default_to_the_indicator(self):
+        region = Region.from_bounds([((0.0,), (1.0,)), ((2.0,), (3.0,))])
+        assert fn.TestFunctionSpec(region=region).values == (1.0, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            fn.TestFunctionSpec(region=region, values=(1.0, np.inf))
 
     def test_insufficient_points_for_t(self):
         f = fn.TestFunctionSpec(region=Region.interval(0.0, 1.0))

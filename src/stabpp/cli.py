@@ -33,7 +33,8 @@ os.environ.update(dict.fromkeys(
 from . import __version__  # noqa: E402
 from .experiments import ExperimentPlan, check_targets, fit_rate, run_experiment  # noqa: E402
 from .functionals import FunctionalSpec, TestFunctionSpec, stabilization_probe  # noqa: E402
-from .point_process import DensitySpec, check_count, sample_binomial, sample_poisson  # noqa: E402
+from .point_process import (MAX_REPLICATES, DensitySpec, check_count,  # noqa: E402
+                            sample_binomial, sample_poisson)
 from .regions import Box, Region  # noqa: E402
 from .special import delta_alpha, delta_alpha_sq, exp_moment, v_alpha  # noqa: E402
 
@@ -46,12 +47,6 @@ _ENV_PREFIX = "STABPP_"
 
 class ConfigError(ValueError):
     """A usage or configuration error: a bad flag, setting or config value."""
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +265,6 @@ def _load_config(path: str) -> dict:
             f"{err.msg}") from err
 
 
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _setting(flag, name: str, cast, default):
     """A shared setting: the flag, else STABPP_<name> as ``cast``, else ``default``."""
     if flag is not None:
@@ -291,7 +281,18 @@ def _setting(flag, name: str, cast, default):
 # ---------------------------------------------------------------------------
 # report emission
 
-def _write_report(out_dir: str, payload: dict, meta: dict) -> str:
+def _write_report(out_dir: str, payload: dict, config: dict, seed: int,
+                  started: float) -> str:
+    """Write ``out_dir``/report.json: the payload, and a meta block of the
+    artifact version, the config's SHA-256, the seed and the clock fields."""
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    meta = {
+        "artifact_version": __version__,
+        "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
+        "seed": int(seed),
+        "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "elapsed_seconds": time.time() - started,
+    }
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     # serialized before the file opens, so a non-finite number leaves no file
@@ -304,44 +305,35 @@ def _write_report(out_dir: str, payload: dict, meta: dict) -> str:
 
 _REGION_COLUMNS = ("mean", "se_mean", "scaled_mean", "var", "se_var",
                    "scaled_var", "target_mean", "target_var", "ks")
+_FIT_COLUMNS = ("slope", "intercept", "r_squared")
+
+
+def _write_csv(path: str, rows):
+    """Write ``rows`` as CSV lines: a string as it is, None as an empty
+    field, a number to 17 significant digits, so it reads back exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else "" if v is None
+                              else format(float(v), ".17g") for v in row) + "\n")
 
 
 def _write_tables(out_dir: str, payload: dict):
-    m = max((len(lr["regions"]) for lr in payload["per_lambda"]), default=0)
-    table = os.path.join(out_dir, "table.csv")
-    with open(table, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["lambda", "region", *_REGION_COLUMNS, "joint_discrepancy"]
-                          + [f"corr_{j}" for j in range(m)]) + "\n")
-        for lr in payload["per_lambda"]:
-            for rs in lr["regions"]:
-                corr = [_fmt(lr["correlations"][rs["index"]][j]) for j in range(m)]
-                fh.write(",".join(
-                    [_fmt(lr["lambda"]), str(rs["index"])]
-                    + [_fmt(rs[key]) for key in _REGION_COLUMNS]
-                    + [_fmt(lr["joint_discrepancy"])] + corr) + "\n")
-    rate = os.path.join(out_dir, "rate.csv")
-    with open(rate, "w", encoding="utf-8") as fh:
-        fh.write("lambda,joint_discrepancy,used_in_fit\n")
-        fit = payload["rate_fit"]
-        used = set() if fit is None else set(fit["lambdas_used"])
-        for lr in payload["per_lambda"]:
-            fh.write(f'{_fmt(lr["lambda"])},{_fmt(lr["joint_discrepancy"])},'
-                     f'{int(lr["lambda"] in used)}\n')
-        if fit is not None:
-            fh.write("slope,intercept,r_squared\n")
-            fh.write(f'{_fmt(fit["slope"])},{_fmt(fit["intercept"])},'
-                     f'{_fmt(fit["r_squared"])}\n')
-    return table, rate
-
-
-def _meta(config: dict, seed: int, started: float) -> dict:
-    return {
-        "artifact_version": __version__,
-        "config_sha256": _config_hash(config),
-        "seed": int(seed),
-        "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "elapsed_seconds": time.time() - started,
-    }
+    per_lambda = payload["per_lambda"]
+    m = max((len(lr["regions"]) for lr in per_lambda), default=0)
+    _write_csv(os.path.join(out_dir, "table.csv"), [
+        ["lambda", "region", *_REGION_COLUMNS, "joint_discrepancy",
+         *(f"corr_{j}" for j in range(m))],
+        *([lr["lambda"], rs["index"], *(rs[key] for key in _REGION_COLUMNS),
+           lr["joint_discrepancy"], *lr["correlations"][rs["index"]]]
+          for lr in per_lambda for rs in lr["regions"])])
+    fit = payload["rate_fit"]
+    used = set() if fit is None else set(fit["lambdas_used"])
+    rate = [("lambda", "joint_discrepancy", "used_in_fit"),
+            *((lr["lambda"], lr["joint_discrepancy"], lr["lambda"] in used)
+              for lr in per_lambda)]
+    if fit is not None:
+        rate += [_FIT_COLUMNS, [fit[key] for key in _FIT_COLUMNS]]
+    _write_csv(os.path.join(out_dir, "rate.csv"), rate)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +351,8 @@ def _cmd_constants(args) -> int:
     if args.json:
         print(json.dumps(rows, sort_keys=True, allow_nan=False))
         return EXIT_OK
-    header = f'{"alpha":>8} {"V_alpha":>22} {"delta_alpha":>22} {"delta_alpha^2":>22} {"mean_coeff":>22}'
-    print(header)
+    print(f'{"alpha":>8} {"V_alpha":>22} {"delta_alpha":>22} {"delta_alpha^2":>22} '
+          f'{"mean_coeff":>22}')
     for r in rows:
         print(f'{r["alpha"]:>8g} {r["v_alpha"]:>22.15g} {r["delta_alpha"]:>22.15g} '
               f'{r["delta_alpha_sq"]:>22.15g} {r["mean_coeff"]:>22.15g}')
@@ -378,7 +370,6 @@ def _cmd_sample(args) -> int:
     plan = parse_plan(config, seed_override=args.seed)
     _parse_probe_and_check(config, plan.density)
     density, seed = plan.density, plan.seed
-    dimension = density.region.dimension
     if args.process == "homogeneous":  # the unit rate on the plan's region
         density = DensitySpec(density.region, (1.0,) * len(density.region.boxes))
     lam = args.lam if args.lam is not None else plan.lambda_grid[0]
@@ -398,10 +389,7 @@ def _cmd_sample(args) -> int:
     out_dir = _setting(args.out, "OUT", str, ".")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "points.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{j}" for j in range(dimension)) + "\n")
-        for row in cfg.points:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, [[f"x{j}" for j in range(density.region.dimension)], *cfg.points.tolist()])
     print(f"wrote {len(cfg)} points to {path}")
     return EXIT_OK
 
@@ -431,13 +419,10 @@ def _cmd_simulate(args) -> int:
               f"{entry['joint_discrepancy']:.5f}", file=sys.stderr)
 
     payload = run_experiment(plan, workers=workers, progress=progress)
-    meta = _meta(config, plan.seed, started)
-    path = _write_report(out_dir, payload, meta)
+    path = _write_report(out_dir, payload, config, plan.seed, started)
     _write_tables(out_dir, payload)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, allow_nan=False))
-    else:
-        print(f"wrote {path}")
+    print(json.dumps(payload, sort_keys=True, allow_nan=False) if args.json
+          else f"wrote {path}")
     if args.check:
         failures = check_targets(payload, se_multiplier)
         if failures:
@@ -461,18 +446,14 @@ def _cmd_stab_probe(args) -> int:
         fields["density"], probe["lambda"], fields["functional"],
         probe_count=probe["count"], resample_count=probe["resamples"],
         seed=seed)
-    meta = _meta(config, seed, started)
-    path = _write_report(out_dir, payload, meta)
-    with open(os.path.join(out_dir, "tail.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t,tail_prob,censored_count\n")
-        for row in payload["tail"]:
-            fh.write(f"{_fmt(row['t'])},{_fmt(row['tail_prob'])},"
-                     f"{payload['censored_count']}\n")
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, allow_nan=False))
-    else:
-        print(f"wrote {path} (decay slope {payload['decay_slope']:.4f}, "
-              f"R^2 {payload['r_squared']:.4f})")
+    path = _write_report(out_dir, payload, config, seed, started)
+    _write_csv(os.path.join(out_dir, "tail.csv"), [
+        ("t", "tail_prob", "censored_count"),
+        *((row["t"], row["tail_prob"], payload["censored_count"])
+          for row in payload["tail"])])
+    print(json.dumps(payload, sort_keys=True, allow_nan=False) if args.json
+          else f"wrote {path} (decay slope {payload['decay_slope']:.4f}, "
+               f"R^2 {payload['r_squared']:.4f})")
     return EXIT_OK
 
 
@@ -505,8 +486,9 @@ def _rate_inputs(doc) -> tuple[list, list, int]:
     if "replicates" not in payload:
         raise ConfigError('missing required key "replicates" in report')
     replicates = _parse_number(payload["replicates"], "replicates", int)
-    if replicates < 2:
-        raise ConfigError(f"replicates must be an integer >= 2, got {replicates!r}")
+    if not 2 <= replicates <= MAX_REPLICATES:
+        raise ConfigError(f"replicates must be an integer from 2 to 2^32, "
+                          f"got {replicates!r}")
     return ([entry["lambda"] for entry in per_lambda],
             [entry["joint_discrepancy"] for entry in per_lambda], replicates)
 
@@ -515,11 +497,9 @@ def _cmd_rate(args) -> int:
     fit, _, note = fit_rate(*_rate_inputs(_load_config(args.report)))
     if fit is None:
         raise RuntimeError(f"{note}; cannot refit")
-    if args.json:
-        print(json.dumps(fit, sort_keys=True, allow_nan=False))
-    else:
-        print(f"slope {fit['slope']:.4f}  intercept {fit['intercept']:.4f}  "
-              f"R^2 {fit['r_squared']:.4f}  (lambdas {fit['lambdas_used']})")
+    print(json.dumps(fit, sort_keys=True, allow_nan=False) if args.json
+          else f"slope {fit['slope']:.4f}  intercept {fit['intercept']:.4f}  "
+               f"R^2 {fit['r_squared']:.4f}  (lambdas {fit['lambdas_used']})")
     return EXIT_OK
 
 
@@ -529,43 +509,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo toolkit for nearest-neighbour functionals "
                     "of Poisson point processes")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags every command takes, then those of the commands that read a plan
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--json", action="store_true")
+    planned = argparse.ArgumentParser(add_help=False, parents=[shared])
+    planned.add_argument("--config", required=True)
+    planned.add_argument("--seed", type=int)
+    planned.add_argument("--out")
 
-    p = sub.add_parser("constants", help="closed-form asymptotic constants")
+    p = sub.add_parser("constants", parents=[shared],
+                       help="closed-form asymptotic constants")
     p.add_argument("--alpha", nargs="+", required=True, type=float)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("sample", help="draw one point configuration")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sample", parents=[planned],
+                       help="draw one point configuration")
     p.add_argument("--process", choices=["poisson", "binomial", "homogeneous"],
                    default="poisson")
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("simulate", help="run the Monte Carlo experiment")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("simulate", parents=[planned],
+                       help="run the Monte Carlo experiment")
     p.add_argument("--workers", type=int)
-    p.add_argument("--out")
     p.add_argument("--check", action="store_true",
                    help="exit 1 if scaled moments miss their targets")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("stab-probe", help="empirical stabilization radii")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("stab-probe", parents=[planned],
+                       help="empirical stabilization radii")
     p.set_defaults(func=_cmd_stab_probe)
 
-    p = sub.add_parser("rate", help="refit the convergence rate from a report")
+    p = sub.add_parser("rate", parents=[shared],
+                       help="refit the convergence rate from a report")
     p.add_argument("--report", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_rate)
     return parser
 

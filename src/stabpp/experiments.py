@@ -112,8 +112,9 @@ class ExperimentPlan:
             for j in range(i + 1, len(regions)):
                 if not regions[i].disjoint_from(regions[j]):
                     raise ValueError(f"regions {i} and {j} overlap")
-        if self.replicates < 2:
-            raise ValueError("need at least 2 replicates")
+        if not 2 <= self.replicates <= point_process.MAX_REPLICATES:
+            raise ValueError(f"replicates must be an integer from 2 to 2^32, "
+                             f"got {self.replicates!r}")
         point_process._key(self.seed, 0)  # the seed rule, before any pool starts
         grid = self.lambda_grid
         if not all(0.0 < v < np.inf for v in grid):

@@ -48,7 +48,8 @@ __all__ = [
     "sample_binomial",
 ]
 
-# The stream map.  Each use owns a namespace far above any replicate count:
+# The stream map.  Each use owns a namespace far above any replicate count,
+# which is at most MAX_REPLICATES (2^32), so each namespace ends below the next:
 #   r                        replicate r, at every intensity of a plan (common
 #                            random numbers: the intensities are not independent)
 #   RETRY_STREAM_BASE+4r+a   retry a = 0, 1, 2 of replicate r (too few points)
@@ -57,6 +58,7 @@ __all__ = [
 RETRY_STREAM_BASE = 1 << 32
 BINOMIAL_STREAM_BASE = 1 << 36
 PROBE_STREAM_BASE = 1 << 40
+MAX_REPLICATES = RETRY_STREAM_BASE
 
 MAX_DRAWS = 4  # a first draw and 3 retries: len(replicate_streams(r))
 

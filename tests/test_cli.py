@@ -1,5 +1,6 @@
 """Command-line contract: schema validation, exit codes, determinism, outputs."""
 
+import argparse
 import concurrent.futures
 import json
 import math
@@ -402,6 +403,32 @@ class TestStabProbeCommand:
         assert named in capsys.readouterr().err
 
 
+class TestOptions:
+    """Each command takes exactly its own options, the shared ones declared
+    once and inherited, and requires exactly its own."""
+
+    OPTIONS = {
+        "constants": ("-h --help --json --alpha", "--alpha"),
+        "sample": ("-h --help --json --config --seed --out --process --lambda --n",
+                   "--config"),
+        "simulate": ("-h --help --json --config --seed --out --workers --check",
+                     "--config"),
+        "stab-probe": ("-h --help --json --config --seed --out", "--config"),
+        "rate": ("-h --help --json --report", "--report"),
+    }
+
+    def test_option_strings_per_command(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sub.choices.keys() == self.OPTIONS.keys()
+        for command, (options, required) in self.OPTIONS.items():
+            actions = sub.choices[command]._actions
+            assert {s for a in actions for s in a.option_strings} == \
+                set(options.split()), command
+            assert {s for a in actions if a.required for s in a.option_strings} == \
+                set(required.split()), command
+
+
 class TestSharedBlocks:
     """simulate validates the probe block it does not use, as stab-probe does."""
 
@@ -486,6 +513,9 @@ class TestBadValues:
         ([1, 2], "config must be a JSON object"),
         ({"lambda_grid": [200.0, 100.0]}, "lambda_grid"),
         ({"replicates": 1}, "replicates"),
+        # replicate r draws stream r, which must stay below the retry streams
+        ({"replicates": (1 << 32) + 1}, "config error: replicates must be an "
+         "integer from 2 to 2^32, got 4294967297\n"),
         ({"regions": [[_box([0.0], [0.6])], [_box([0.4], [1.0])]]}, "regions"),
         ({"lambda_grid": [-5.0, 100.0]}, "lambda_grid"),
         ({"lambda_grid": [0.0]}, "lambda_grid"),
@@ -553,7 +583,7 @@ class TestBadValues:
             "value_infinite", "value_nan", "value_overflows_targets",
             "seed_not_integer", "k_not_integer", "alpha_not_positive",
             "config_not_object", "lambda_grid_decreasing", "one_replicate",
-            "regions_overlap", "lambda_negative", "lambda_zero", "lambda_nan",
+            "replicates_beyond_streams", "regions_overlap", "lambda_negative", "lambda_zero", "lambda_nan",
             "t_grid_nan", "t_grid_infinite", "weight_infinite", "bound_infinite",
             "homogeneous_infinite", "grid_over_budget", "region_outside_density",
             "region_on_zero_weight", "test_function_zero_where_points_fall",
@@ -831,6 +861,8 @@ class TestRateCommand:
         ({}, {"replicates": 1}, "replicates"),
         ({}, {"replicates": 2.5}, "replicates"),
         ({}, {"replicates": True}, "replicates"),
+        ({}, {"replicates": 1 << 64}, "config error: replicates must be an "
+         "integer from 2 to 2^32, got 18446744073709551616\n"),
         ({"lambda": True}, {}, "per_lambda[1].lambda"),
         # a simulate report's intensities increase strictly, as its
         # lambda_grid does; a fit through a repeat means nothing
@@ -840,6 +872,7 @@ class TestRateCommand:
             "lambda_infinite", "discrepancy_above_1", "discrepancy_negative",
             "discrepancy_nan", "discrepancy_string", "no_replicates",
             "one_replicate", "replicates_not_integer", "replicates_bool",
+            "replicates_beyond_streams",
             "lambda_bool", "lambda_repeated", "lambda_decreasing"])
     def test_bad_report_exits_2_naming_the_key(self, tmp_path, capsys,
                                                entry, payload, named):
@@ -909,7 +942,7 @@ class TestStrictJson:
 
     def test_non_finite_report_leaves_no_file(self, tmp_path):
         with pytest.raises(ValueError):
-            cli._write_report(str(tmp_path), {"x": math.inf}, {})
+            cli._write_report(str(tmp_path), {"x": math.inf}, {}, 0, time.time())
         assert not (tmp_path / "report.json").exists()
 
 

@@ -18,8 +18,9 @@ from stabpp import experiments as ex
 from stabpp.functionals import (DIRECTED_NN, KNN_UNDIRECTED, FunctionalSpec,
                                 TestFunctionSpec, t_vector)
 from stabpp.neighbors import nn_distances
-from stabpp.point_process import (DensitySpec, generator, replicate_streams,
-                                  sample_binomial, sample_poisson)
+from stabpp.point_process import (MAX_REPLICATES, DensitySpec, generator,
+                                  replicate_streams, sample_binomial,
+                                  sample_poisson)
 from stabpp.regions import Region
 from stabpp.special import ndtr, v_alpha
 
@@ -460,6 +461,9 @@ class TestRunReplicates:
         for t in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="t_grid values must be finite"):
                 dataclasses.replace(small_plan(), t_grid=(0.0, t))
+        dataclasses.replace(small_plan(), replicates=MAX_REPLICATES)
+        with pytest.raises(ValueError, match="replicates must be an integer"):
+            dataclasses.replace(small_plan(), replicates=MAX_REPLICATES + 1)
         for name in ("test_functions", "lambda_grid", "t_grid"):
             fields = dict(density=DensitySpec.homogeneous(region),
                           test_functions=(TestFunctionSpec(region=region),),

@@ -86,6 +86,15 @@ class TestDeterminism:
             assert np.array_equal(got.points, np.concatenate(parts))
 
 
+def test_namespaces_end_below_the_next():
+    """Up to MAX_REPLICATES replicates, each namespace of the stream map ends
+    below the start of the next."""
+    last = pp.MAX_REPLICATES - 1
+    assert last < pp.replicate_streams(0)[1]
+    assert pp.replicate_streams(last)[-1] < pp.BINOMIAL_STREAM_BASE
+    assert pp.BINOMIAL_STREAM_BASE + last < pp.PROBE_STREAM_BASE
+
+
 # streams at the edges of each namespace of the stream map
 REKEY_STREAMS = sorted(
     {0, 5, 2 ** 33, 2 ** 40 + 3}

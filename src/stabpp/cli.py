@@ -169,48 +169,6 @@ def _parse_test_function(obj: dict, region: Region, where: str) -> TestFunctionS
     return _build(TestFunctionSpec, where, region=region, values=values)
 
 
-_TOP_KEYS_REQUIRED = ("dimension", "density", "regions", "functional",
-                      "lambda_grid", "replicates")
-_TOP_KEYS_OPTIONAL = ("seed", "test_functions", "t_grid", "probe", "check")
-_PROBE_KEYS_REQUIRED = ("dimension", "density", "functional", "probe")
-
-
-def _parse_plan_fields(config: dict) -> dict:
-    """ExperimentPlan fields from the plan keys present in the config.
-
-    Each key has one parser, so every command that reads a config rejects
-    the same bad values, whether or not it uses them.
-    """
-    dimension = _parse_number(config["dimension"], "dimension", int)
-    if dimension < 1:
-        raise ConfigError("dimension must be >= 1")
-    regions = config.get("regions", [])
-    if not isinstance(regions, list) or ("regions" in config and not regions):
-        raise ConfigError("regions must be a nonempty list of regions")
-    fields = {
-        "density": _parse_density(config["density"], dimension),
-        "functional": _parse_functional(config["functional"]),
-    }
-    tf_cfg = config.get("test_functions", [{"kind": "indicator"}] * len(regions))
-    if not isinstance(tf_cfg, list):
-        raise ConfigError("test_functions must be a list of test functions")
-    if len(tf_cfg) != len(regions):
-        raise ConfigError(f"test_functions has {len(tf_cfg)} entries for "
-                          f"{len(regions)} regions")
-    fields["test_functions"] = tuple(
-        _parse_test_function(o, _parse_region(r, f"regions[{i}]", dimension),
-                             f"test_functions[{i}]")
-        for i, (o, r) in enumerate(zip(tf_cfg, regions)))
-    for key in ("lambda_grid", "t_grid"):
-        if key in config:
-            fields[key] = _parse_numbers(config[key], key)
-            if not fields[key]:
-                raise ConfigError(f"{key} must be a nonempty list of numbers")
-    if "replicates" in config:
-        fields["replicates"] = _parse_number(config["replicates"], "replicates", int)
-    return fields
-
-
 def _parse_probe_and_check(config: dict, density: DensitySpec
                            ) -> tuple[dict | None, float]:
     """The optional probe block (None when absent) and the check's
@@ -242,11 +200,36 @@ def _parse_probe_and_check(config: dict, density: DensitySpec
 
 
 def parse_plan(config: dict, seed_override: int | None = None) -> ExperimentPlan:
-    """Validate a plan config and build the experiment plan, with every plan
-    rule applied; the seed is the override, else the config's, else
-    STABPP_SEED, else 0."""
-    _require_keys(config, "config", _TOP_KEYS_REQUIRED, _TOP_KEYS_OPTIONAL)
-    fields = _parse_plan_fields(config)
+    """The experiment plan of a config, with every plan rule applied.  Every
+    command that reads a plan reads it here, so all refuse the same bad plans.
+    The seed is the override, else the config's, else STABPP_SEED, else 0."""
+    _require_keys(config, "config", ("dimension", "density", "regions", "functional",
+                                     "lambda_grid", "replicates"),
+                  ("seed", "test_functions", "t_grid", "probe", "check"))
+    dimension = _parse_number(config["dimension"], "dimension", int)
+    if dimension < 1:
+        raise ConfigError("dimension must be >= 1")
+    regions = config["regions"]
+    if not isinstance(regions, list) or not regions:
+        raise ConfigError("regions must be a nonempty list of regions")
+    fields = {
+        "density": _parse_density(config["density"], dimension),
+        "functional": _parse_functional(config["functional"]),
+    }
+    tf_cfg = config.get("test_functions", [{"kind": "indicator"}] * len(regions))
+    if not isinstance(tf_cfg, list):
+        raise ConfigError("test_functions must be a list of test functions")
+    if len(tf_cfg) != len(regions):
+        raise ConfigError(f"test_functions has {len(tf_cfg)} entries for "
+                          f"{len(regions)} regions")
+    fields["test_functions"] = tuple(
+        _parse_test_function(o, _parse_region(r, f"regions[{i}]", dimension),
+                             f"test_functions[{i}]")
+        for i, (o, r) in enumerate(zip(tf_cfg, regions)))
+    fields["lambda_grid"] = _parse_numbers(config["lambda_grid"], "lambda_grid")
+    if "t_grid" in config:
+        fields["t_grid"] = _parse_numbers(config["t_grid"], "t_grid")
+    fields["replicates"] = _parse_number(config["replicates"], "replicates", int)
     try:
         return ExperimentPlan(seed=_seed(config, seed_override), **fields)
     except ValueError as err:
@@ -278,6 +261,20 @@ def _setting(flag, name: str, cast, default):
         raise ConfigError(f"bad {_ENV_PREFIX}{name}={raw!r}: {err}") from err
 
 
+def _out_dir(flag: str | None) -> str:
+    """The output directory: the flag, else STABPP_OUT, else ".".  Each
+    command makes it here, before any draw, so a path that cannot be a
+    directory is a usage error naming its source, not a failure after the run."""
+    out_dir = _setting(flag, "OUT", str, ".")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        source = "--out" if flag is not None else _ENV_PREFIX + "OUT"
+        raise ConfigError(f"{source}: cannot make directory {out_dir!r}: "
+                          f"{err.strerror}") from err
+    return out_dir
+
+
 # ---------------------------------------------------------------------------
 # report emission
 
@@ -293,7 +290,6 @@ def _write_report(out_dir: str, payload: dict, config: dict, seed: int,
         "wall_clock_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.time() - started,
     }
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
     # serialized before the file opens, so a non-finite number leaves no file
     text = json.dumps({"meta": meta, "payload": payload}, sort_keys=True,
@@ -378,6 +374,7 @@ def _cmd_sample(args) -> int:
     else:  # the Poisson draw's mean count, and the binomial draw's default n
         count = _check_count(lam * density.total_mass, f"--lambda {lam:g}"
                              if args.lam is not None else f"lambda_grid value {lam:g}")
+    out_dir = None if args.json else _out_dir(args.out)
     if args.process == "binomial":
         cfg = sample_binomial(density, round(count), seed, stream=0)
     else:
@@ -386,8 +383,6 @@ def _cmd_sample(args) -> int:
         print(json.dumps({"seed": seed, "lambda": lam, "count": len(cfg),
                           "points": cfg.points.tolist()}, allow_nan=False))
         return EXIT_OK
-    out_dir = _setting(args.out, "OUT", str, ".")
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "points.csv")
     _write_csv(path, [[f"x{j}" for j in range(density.region.dimension)], *cfg.points.tolist()])
     print(f"wrote {len(cfg)} points to {path}")
@@ -412,7 +407,7 @@ def _cmd_simulate(args) -> int:
         import concurrent.futures.process  # noqa: F401
         import multiprocessing.popen_fork  # noqa: F401
         import multiprocessing.synchronize  # noqa: F401
-    out_dir = _setting(args.out, "OUT", str, ".")
+    out_dir = _out_dir(args.out)
 
     def progress(lam, entry):
         print(f"lambda={lam:g}: joint discrepancy "
@@ -436,17 +431,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_stab_probe(args) -> int:
     started = time.time()
     config = _load_config(args.config)
-    _require_keys(config, "config", _PROBE_KEYS_REQUIRED,
-                  _TOP_KEYS_REQUIRED + _TOP_KEYS_OPTIONAL)
-    fields = _parse_plan_fields(config)
-    probe, _ = _parse_probe_and_check(config, fields["density"])
-    seed = _seed(config, args.seed)
-    out_dir = _setting(args.out, "OUT", str, ".")
+    plan = parse_plan(config, seed_override=args.seed)
+    probe, _ = _parse_probe_and_check(config, plan.density)
+    if probe is None:
+        raise ConfigError('missing required key "probe" in config')
+    out_dir = _out_dir(args.out)
     payload = stabilization_probe(
-        fields["density"], probe["lambda"], fields["functional"],
+        plan.density, probe["lambda"], plan.functional,
         probe_count=probe["count"], resample_count=probe["resamples"],
-        seed=seed)
-    path = _write_report(out_dir, payload, config, seed, started)
+        seed=plan.seed)
+    path = _write_report(out_dir, payload, config, plan.seed, started)
     _write_csv(os.path.join(out_dir, "tail.csv"), [
         ("t", "tail_prob", "censored_count"),
         *((row["t"], row["tail_prob"], payload["censored_count"])

@@ -61,6 +61,16 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def forbid_draws(monkeypatch):
+    """Make every sampler a command reaches fail the test if it is called."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a configuration was drawn")
+
+    for owner, name in ((ex, "sample_poisson"), (cli, "sample_poisson"),
+                        (cli, "sample_binomial"), (fn, "sample_poisson_rng")):
+        monkeypatch.setattr(owner, name, no_draw)
+
+
 class TestConstantsCommand:
     def test_table_rows(self, capsys):
         code = cli.main(["constants", "--alpha", "1", "3", "4", "--json"])
@@ -297,9 +307,10 @@ class TestSampleCommand:
     def test_json_binomial(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config())
         assert cli.main(["sample", "--config", cfg, "--process", "binomial",
-                         "--n", "17", "--json"]) == 0
+                         "--n", "17", "--json", "--out", str(tmp_path / "o")]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 17
+        assert not (tmp_path / "o").exists()  # --json writes no file
 
     def test_binomial_follows_the_weights(self, tmp_path, capsys):
         # weights (1, 0): every point in [0, 1], none in the zero-weight box
@@ -392,15 +403,70 @@ class TestStabProbeCommand:
         ("check", {"nonsense": True}, '"nonsense"'),
         ("lambda_grid", "x", "lambda_grid"),
         ("replicates", "many", "replicates"),
+        # the plan's own rules, which simulate and sample apply as well
+        pytest.param("regions", [[{"lower": [0.0], "upper": [0.6]}],
+                                 [{"lower": [0.4], "upper": [1.0]}]],
+                     "regions 0 and 1 overlap", id="regions_overlap"),
+        pytest.param("replicates", 1, "replicates", id="one_replicate"),
+        pytest.param("replicates", 2 ** 63, "replicates",
+                     id="replicates_beyond_streams"),
+        pytest.param("lambda_grid", [200.0, 100.0], "lambda_grid",
+                     id="lambda_grid_decreasing"),
     ])
-    def test_plan_keys_are_validated(self, tmp_path, capsys, key, value, named):
-        # stab-probe reads none of these, but a bad one is still a bad config
+    def test_plan_keys_are_validated(self, tmp_path, capsys, monkeypatch, key,
+                                     value, named):
+        # stab-probe reads none of these, but a bad one is still a bad plan,
+        # refused before any draw
+        forbid_draws(monkeypatch)
         cfg = base_config(probe={"count": 5, "lambda": 60.0})
         cfg[key] = value
         path = write_config(tmp_path, cfg)
         assert cli.main(["stab-probe", "--config", path,
                          "--out", str(tmp_path / "p")]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("missing, named", [
+        (("regions", "lambda_grid", "replicates"), "regions"),
+        (("probe",), "probe"),
+    ], ids=["probe_only", "full_plan_without_probe"])
+    def test_missing_key_is_named(self, tmp_path, capsys, monkeypatch, missing,
+                                  named):
+        # the probe needs a whole plan and its probe block
+        forbid_draws(monkeypatch)
+        cfg = base_config(probe={"count": 5, "lambda": 60.0})
+        for key in missing:
+            del cfg[key]
+        assert cli.main(["stab-probe", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err == (
+            f'config error: missing required key "{named}" in config\n')
+        assert not (tmp_path / "p").exists()
+
+
+class TestOutputDirectory:
+    """Every command that writes files makes its output directory before any
+    draw, so a path that cannot be one exits 2 naming its source."""
+
+    @pytest.mark.parametrize("source", ["--out", "STABPP_OUT"])
+    @pytest.mark.parametrize("out", ["afile", "afile/sub", ""],
+                             ids=["a_file", "under_a_file", "empty"])
+    @pytest.mark.parametrize("command", ["simulate", "stab-probe", "sample"])
+    def test_unusable_path_exits_2_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, command, out, source):
+        forbid_draws(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept")
+        argv = [command, "--config", write_config(tmp_path, base_config(
+            probe={"count": 5, "lambda": 60.0}))]
+        if source == "--out":
+            argv += ["--out", out]
+        else:
+            monkeypatch.setenv(source, out)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {source}: cannot make directory {out!r}: ")
+        assert Path("afile").read_text() == "kept"
 
 
 class TestOptions:
@@ -609,10 +675,7 @@ class TestBadValues:
                                                         monkeypatch):
         # alpha = 100 passes every rule of the functional, but v_alpha
         # overflows a double, so the directed targets cannot be reported
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a configuration was drawn")
-
-        monkeypatch.setattr(ex, "sample_poisson", no_draw)
+        forbid_draws(monkeypatch)
         path = write_config(tmp_path, base_config(
             functional={"family": "nn_directed", "alpha": 100.0},
             lambda_grid=[50.0, 100.0], replicates=20))
@@ -632,12 +695,7 @@ class TestBadValues:
     def test_seed_outside_64_bits_exits_2_naming_its_source(
             self, tmp_path, capsys, monkeypatch, command, source, value):
         # a masked seed would replay another: -1 the seed 2^64 - 1, 2^64 seed 0
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a configuration was drawn")
-
-        for owner, name in ((ex, "sample_poisson"), (cli, "sample_poisson"),
-                            (fn, "sample_poisson_rng")):
-            monkeypatch.setattr(owner, name, no_draw)
+        forbid_draws(monkeypatch)
         cfg = base_config(replicates=4, probe={"count": 5, "lambda": 60.0})
         argv = [command, "--out", str(tmp_path / "o")]
         if source == "--seed":
@@ -679,12 +737,7 @@ class TestBadValues:
         # numpy draws no Poisson mean at or above MAX_COUNT, nor a fixed n
         # beyond an int64: such a count is refused with the flag or key.
         # The default density has weights (1, 0) on two unit boxes: mass 1.
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a configuration was drawn")
-
-        for owner, name in ((ex, "sample_poisson"), (cli, "sample_poisson"),
-                            (cli, "sample_binomial"), (fn, "sample_poisson_rng")):
-            monkeypatch.setattr(owner, name, no_draw)
+        forbid_draws(monkeypatch)
         cfg = base_config(**{
             "density": {"boxes": TWO_BOXES, "weights": [1.0, 0.0]},
             "regions": [TWO_BOXES[:1]], "replicates": 4,
@@ -980,11 +1033,10 @@ class TestFitPayloads:
          {"count": 20, "resamples": 2, "lambda": 50.0}),
     ], ids=["functional0-probe0", "functional1-probe1", "directed_plane"])
     def test_probe_fit_floats(self, tmp_path, capsys, dim, functional, probe):
-        cfg = write_config(tmp_path, {
-            "dimension": dim,
-            "density": {"boxes": [{"lower": [0.0] * dim, "upper": [1.0] * dim}],
-                        "homogeneous": True},
-            "functional": functional, "probe": probe, "seed": 3})
+        unit = {"lower": [0.0] * dim, "upper": [1.0] * dim}
+        cfg = write_config(tmp_path, base_config(
+            dimension=dim, density={"boxes": [unit], "homogeneous": True},
+            regions=[[unit]], functional=functional, probe=probe, seed=3))
         assert cli.main(["stab-probe", "--config", cfg, "--json",
                          "--out", str(tmp_path / "probe")]) == 0
         doc = json.loads(capsys.readouterr().out)

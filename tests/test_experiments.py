@@ -11,7 +11,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.special import ndtr as scipy_ndtr
 
 from stabpp import cli
 from stabpp import experiments as ex
@@ -125,6 +124,7 @@ class TestKolmogorov:
             ex.ks_to_normal([])
 
     def test_same_floats_as_scipy_formula(self):
+        scipy_ndtr = pytest.importorskip("scipy.special").ndtr
         rng = np.random.default_rng(29)
         for n in (1, 7, 500, 20_000):
             x = np.sort(rng.standard_normal(n) * 1.3 + 0.1)
@@ -139,7 +139,7 @@ def plain_product_form(std, grid):
     below the node on every axis against the product of normal CDFs, and
     the first node in C order where the gap is largest."""
     grid = np.asarray(grid, dtype=float)
-    phi = scipy_ndtr(grid)
+    phi = pytest.importorskip("scipy.special").ndtr(grid)
     best, arg = -1.0, None
     for node in itertools.product(range(len(grid)), repeat=std.shape[1]):
         cdf = np.all(std <= grid[list(node)], axis=1).mean()
@@ -204,6 +204,7 @@ class TestProductForm:
         assert 0.0 <= sup <= 1.0
 
     def test_same_floats_as_scipy_formula(self):
+        scipy_ndtr = pytest.importorskip("scipy.special").ndtr
         rng = np.random.default_rng(31)
         std = rng.standard_normal((20_000, 2)) @ np.array([[1.0, 0.4], [0.0, 0.9]])
         grid = np.asarray(ex.DEFAULT_T_GRID)
@@ -649,6 +650,30 @@ class TestPipeline:
         scaled_var, se_scaled_var = ex.binomial_scaled_variances(knn, 500.0)
         assert np.isfinite(scaled_var).all() and (scaled_var > 0.0).all()
         assert np.isfinite(se_scaled_var).all() and (se_scaled_var > 0.0).all()
+
+    def test_touching_regions_covariance(self):
+        # asymptotic independence as a number: regions [0, 1] and [1, 2] of
+        # a unit density share one boundary point, and the covariance of
+        # their statistics tends to the surface constant c_1 = -11/144 at
+        # alpha = 1, not to 0.  It is not divided by lambda: the shared
+        # boundary is one point at every lambda.  The SE comes from the
+        # per-replicate products.  Seed 1 read -0.0817 +- 0.0070 (-0.8 SE
+        # from c_1, 11.7 SE from 0); 400 000 replicates read -0.0777 +-
+        # 0.0035.
+        plan = cli.parse_plan({
+            "dimension": 1,
+            "density": {"boxes": [{"lower": [0.0], "upper": [2.0]}], "weights": [1.0]},
+            "regions": [[{"lower": [0.0], "upper": [1.0]}],
+                        [{"lower": [1.0], "upper": [2.0]}]],
+            "functional": {"family": "nn_directed", "alpha": 1.0},
+            "lambda_grid": [10.0], "replicates": 100_000, "seed": 1})
+        data = ex.run_replicates(plan, 10.0)
+        centred = data - data.mean(axis=0)
+        products = centred[:, 0] * centred[:, 1]
+        cov = products.sum() / (len(products) - 1)
+        se = products.std(ddof=1) / np.sqrt(len(products))
+        assert abs(cov + 11.0 / 144.0) <= 3.0 * se
+        assert abs(cov) > 3.0 * se
 
     def test_normal_cdf_reference(self):
         # ndtr is the Phi used throughout; pin it against the error function

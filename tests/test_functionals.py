@@ -332,6 +332,23 @@ class TestStabilizationProbe:
                                          resample_count=5, seed=42)
         assert abs(payload["decay_slope"] + 2.0) <= 0.6
 
+    def test_plane_decay_slope_near_the_radius_law(self):
+        # in the plane the directed law is P[R > t] = exp(-kappa pi t^2), so
+        # log P is fitted against t^2 over the payload's window; the slope
+        # estimates -kappa pi = -pi.  Over seeds 42 and 1-15 it ran from
+        # -3.102 to -2.077 (mean -2.584, SD 0.290; the square's free edges
+        # make the tail heavier, 1.9 SD off -pi); the band is 3 SD
+        square = Region.from_bounds([((0.0, 0.0), (1.0, 1.0))])
+        spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)
+        payload = fn.stabilization_probe(DensitySpec.homogeneous(square), 200.0,
+                                         spec, probe_count=500, resample_count=5,
+                                         seed=42)
+        lo, hi = payload["fit_window"]
+        rows = [row for row in payload["tail"] if lo <= row["t"] <= hi]
+        slope, _, _ = fn.fit_line(np.array([row["t"] for row in rows]) ** 2,
+                                  np.log([row["tail_prob"] for row in rows]))
+        assert abs(slope + math.pi) <= 0.87
+
     def test_constant_functional_stabilizes_at_zero(self, monkeypatch):
         density = DensitySpec.homogeneous(Region.interval(0.0, 1.0))
         spec = fn.FunctionalSpec(family=fn.DIRECTED_NN, alpha=1.0)

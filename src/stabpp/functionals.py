@@ -142,10 +142,13 @@ def t_vector(config: PointConfiguration, fs, spec: FunctionalSpec,
 
     The configuration is dilated by lam^(1/d) and scored once for all
     test functions; f is evaluated at the original locations, so only points
-    of f's region contribute.  When some region holds a point, fewer points
-    than the neighbour search needs raise its ValueError.
+    of f's region contribute.  In one dimension the points are scored and
+    summed in increasing order of position, so the result does not depend on
+    the order of the rows, and the neighbour search needs no sort of its own.
+    When some region holds a point, fewer points than the neighbour search
+    needs raise its ValueError.
     """
-    pts = config.points
+    pts = np.sort(config.points, axis=0) if config.dimension == 1 else config.points
     masks = [f.region.contains(pts) for f in fs]
     out = np.zeros(len(fs))
     union = masks[0]

@@ -212,10 +212,12 @@ def nn_distances(points: np.ndarray, subset: np.ndarray) -> np.ndarray:
     A one-row subset is one pass of the oracle's formula, no sort or grid, so
     its distance is the oracle's; it refuses the points only if a distance it
     computes is not finite, the grid whenever their span overflows.
-    In one dimension the nearest neighbour is adjacent in sorted order.  The
-    sort need not be stable: equal coordinates form one contiguous run of the
-    sorted array and each member of the run is at distance 0 from a
-    neighbour in it, so the order within a run cannot change any distance.
+    In one dimension the nearest neighbour is adjacent in sorted order.
+    Points already in nondecreasing order skip the sort: their successive
+    gaps are the distances.  The sort need not be stable: equal coordinates
+    form one contiguous run of the sorted array and each member of the run is
+    at distance 0 from a neighbour in it, so the order within a run cannot
+    change any distance.
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
@@ -232,14 +234,21 @@ def nn_distances(points: np.ndarray, subset: np.ndarray) -> np.ndarray:
         return out
     if d == 1:
         x = pts[:, 0]
-        order = np.argsort(x)
-        xs = x[order]
-        gaps = xs[1:] - xs[:-1]
+        gaps = x[1:] - x[:-1]
+        ordered = (gaps >= 0.0).all()  # False on NaN
+        if not ordered:
+            order = np.argsort(x)
+            xs = x[order]
+            gaps = xs[1:] - xs[:-1]
+        gaps += 0.0  # the gap -0.0 of +0.0 then -0.0 is the oracle's +0.0
         nn_sorted = np.empty(n)
         nn_sorted[0], nn_sorted[-1] = gaps[0], gaps[-1]
         np.minimum(gaps[:-1], gaps[1:], out=nn_sorted[1:-1])
-        out = np.empty(n)
-        out[order] = nn_sorted
+        if ordered:
+            out = nn_sorted
+        else:
+            out = np.empty(n)
+            out[order] = nn_sorted
         out[np.logical_not(subset)] = np.nan
         return out
     rows = np.nonzero(subset)[0]

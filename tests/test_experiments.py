@@ -263,15 +263,16 @@ class TestRateFit:
 
 def plain_directed_replicate(plan, lam, r):
     """One 1-d directed replicate written out directly: stream r, then the
-    retry streams (1 << 32) + 4r + a; Generator.uniform per box; the O(n^2)
-    nearest-neighbour distance of the dilated points; a dot with ones."""
+    retry streams (1 << 32) + 4r + a; Generator.uniform per box; the points
+    in increasing order; the O(n^2) nearest-neighbour distance of the dilated
+    points; a dot with ones."""
     for stream in [r] + [(1 << 32) + 4 * r + a for a in range(3)]:
         rng = generator(plan.seed, stream)
         parts = []
         for w, box in zip(plan.density.weights, plan.density.region.boxes):
             n = int(rng.poisson(lam * w * box.volume))
             parts.append(rng.uniform(box.lower, box.upper, size=(n, 1)))
-        x = np.concatenate(parts)[:, 0]
+        x = np.sort(np.concatenate(parts)[:, 0])
         if len(x) < 2:
             continue
         masks = [(x >= reg.boxes[0].lower[0]) & (x < reg.boxes[0].upper[0])

@@ -245,6 +245,23 @@ class TestScaledStatistics:
         assert t(boxes, (2.0, -1.0)) == pytest.approx(2.0 * t(left) - t(right),
                                                       rel=1e-12)
 
+    @pytest.mark.parametrize("family,k", [(fn.DIRECTED_NN, 1), (fn.KNN_UNDIRECTED, 2)])
+    def test_1d_statistic_ignores_row_order(self, family, k):
+        # in one dimension the points are scored and summed in increasing
+        # order, so a permutation of the rows gives the same doubles, for an
+        # indicator and for a piecewise test function
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(0.0, 3.0, size=(400, 1))
+        fs = [fn.TestFunctionSpec(region=Region.interval(0.5, 2.5)),
+              fn.TestFunctionSpec(Region.from_bounds([((0.0,), (1.0,)), ((2.0,), (3.0,))]),
+                                  values=(2.0, -0.7))]
+        spec = fn.FunctionalSpec(family=family, k=k, alpha=1.7)
+        want = fn.t_vector(PointConfiguration(dimension=1, points=pts), fs, spec, 400.0)
+        for perm in (rng.permutation(len(pts)), np.arange(len(pts))[::-1]):
+            got = fn.t_vector(PointConfiguration(dimension=1, points=pts[perm]),
+                              fs, spec, 400.0)
+            assert np.array_equal(got, want)
+
     def test_t_vector_empty_config_is_zero(self):
         empty = PointConfiguration(dimension=1, points=np.empty((0, 1)))
         fs = [fn.TestFunctionSpec(region=Region.interval(0.0, 1.0)),

@@ -206,14 +206,48 @@ class TestEquivalence:
             search(pts, 2)
 
 
+def oracle_distances(pts):
+    """Each point's distance to its nearest other point, by the O(n^2) oracle."""
+    nn = nb.brute_force_knn(pts, 1)[:, 0]
+    diff = pts - pts[nn]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def argsort_pass(x):
+    """The 1-d pass through ``np.argsort`` for any row order: the reference
+    on non-finite input, which the oracle refuses."""
+    order = np.argsort(x)
+    xs = x[order]
+    gaps = xs[1:] - xs[:-1]
+    nn_sorted = np.empty(len(x))
+    nn_sorted[0], nn_sorted[-1] = gaps[0], gaps[-1]
+    np.minimum(gaps[:-1], gaps[1:], out=nn_sorted[1:-1])
+    out = np.empty(len(x))
+    out[order] = nn_sorted
+    return out
+
+
+# 1-d coordinates in nondecreasing order, which skip the sort
+ORDERED_1D = {
+    "equal_runs": np.sort(np.random.default_rng(3).integers(0, 40, size=300)) * 0.37,
+    "signed_zeros": np.array([-1.0, 0.0, -0.0, 0.5, 2.0]),
+    "n2": np.array([0.1, 0.7]),
+    "n3": np.array([0.0, 0.25, 1.0]),
+    "lattice": np.arange(60) * 0.2,
+    "uniform": np.sort(np.random.default_rng(4).uniform(-1.0, 1.0, size=500)),
+}
+
+
 class TestNNDistances:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_brute_force(self, d):
         rng = np.random.default_rng(42 + d)
         pts = rng.uniform(size=(200, d))
-        nn = nb.brute_force_knn(pts, 1)[:, 0]
-        diff = pts - pts[nn]
-        expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        expected = oracle_distances(pts)
         assert np.array_equal(nb.nn_distances(pts, np.ones(len(pts), bool)),
                               expected)
 
@@ -221,9 +255,7 @@ class TestNNDistances:
     def test_subset_matches_brute_force(self, d):
         rng = np.random.default_rng(70 + d)
         pts = rng.integers(0, 50, size=(2000, d)) * 0.1
-        nn = nb.brute_force_knn(pts, 1)[:, 0]
-        diff = pts - pts[nn]
-        expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        expected = oracle_distances(pts)
         # a mask of one row takes the one-query pass: rows with and without
         # a duplicate, and the first and last rows
         masks = [rng.uniform(size=2000) < 0.3]
@@ -278,9 +310,7 @@ class TestNNDistances:
         ties = rng.integers(0, 80, size=400) * 0.37
         pts = np.r_[ties, rng.uniform(0.0, 30.0, size=200)].reshape(-1, 1)
         mask = rng.uniform(size=len(pts)) < 0.4
-        nn = nb.brute_force_knn(pts, 1)[:, 0]
-        diff = pts - pts[nn]
-        expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        expected = oracle_distances(pts)
         out = nb.nn_distances(pts, subset=mask)
         assert np.array_equal(out[mask], expected[mask])
         assert np.all(np.isnan(out[~mask]))
@@ -289,8 +319,53 @@ class TestNNDistances:
     @given(lattice_clouds())
     def test_lattices_match_oracle_distance(self, cloud):
         pts, _ = cloud
-        nn = nb.brute_force_knn(pts, 1)[:, 0]
-        diff = pts - pts[nn]
-        expected = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        expected = oracle_distances(pts)
         assert np.array_equal(nb.nn_distances(pts, np.ones(len(pts), bool)),
                               expected)
+
+    @pytest.mark.parametrize("case", sorted(ORDERED_1D))
+    def test_ordered_1d_matches_oracle_without_a_sort(self, case, monkeypatch):
+        # the oracle's bits on every row of the full mask and of random
+        # subsets (NaN elsewhere), and np.argsort is never called
+        pts = ORDERED_1D[case].reshape(-1, 1)
+        expected = oracle_distances(pts)
+        rng = np.random.default_rng(len(pts))
+        masks = [np.ones(len(pts), bool)] + [rng.uniform(size=len(pts)) < p
+                                             for p in (0.3, 0.7)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ordered input reached np.argsort")
+
+        monkeypatch.setattr(np, "argsort", refuse)
+        for mask in masks:
+            out = nb.nn_distances(pts, subset=mask)
+            assert same_bits(out[mask], expected[mask])
+            assert np.all(np.isnan(out[~mask]))
+
+    @pytest.mark.parametrize("case", sorted(ORDERED_1D))
+    def test_1d_row_order_does_not_change_distances(self, case):
+        # shuffled and descending copies of the ordered points take the
+        # sorted pass; each point keeps its distance, to the bit
+        x = ORDERED_1D[case]
+        every = np.ones(len(x), bool)
+        want = nb.nn_distances(x.reshape(-1, 1), every)
+        for perm in (np.random.default_rng(5).permutation(len(x)),
+                     np.arange(len(x))[::-1]):
+            got = nb.nn_distances(x[perm].reshape(-1, 1), every)
+            assert same_bits(got, want[perm])
+
+    @pytest.mark.parametrize("x", [
+        [0.0, 1.0, np.nan, 3.0], [np.nan, 0.0, 1.0], [np.nan, np.nan, 0.5],
+        [-np.inf, 0.0, 1.0, np.inf], [0.0, np.inf, np.inf], [1.0, -np.inf, 0.5],
+        [-np.inf, -np.inf, 2.0]])
+    def test_1d_nonfinite_input_as_through_the_sort(self, x):
+        # ordered input with infinities skips the sort, the rest (any NaN)
+        # takes it; both give the argsort pass's values and NaN rows
+        x = np.array(x)
+        mask = np.arange(len(x)) != 1
+        for subset in (np.ones(len(x), bool), mask):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want = argsort_pass(x)
+                got = nb.nn_distances(x.reshape(-1, 1), subset)
+            want[~subset] = np.nan
+            assert np.array_equal(got, want, equal_nan=True)

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from stabpp import point_process as pp
 from stabpp.regions import Box, Region
@@ -188,6 +187,7 @@ class TestPoissonLaw:
 
     def test_stream_independence_chi_squared(self):
         # paired counts from distinct streams are independent at the 0.001 level
+        stats = pytest.importorskip("scipy.stats")
         dens = unit_density()
         draws = 10_000
         c1 = np.empty(draws, dtype=int)
@@ -202,6 +202,7 @@ class TestPoissonLaw:
 
     def test_thinning_consistency(self):
         # piecewise {1 on (0,1/2), 1 on (1/2,1)} equals homogeneous on (0,1)
+        stats = pytest.importorskip("scipy.stats")
         split_region = Region.from_bounds([((0.0,), (0.5,)), ((0.5,), (1.0,))])
         split = pp.DensitySpec(region=split_region, weights=(1.0, 1.0))
         whole = unit_density()
